@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci bench-smoke bench-gate serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
+.PHONY: all build test race fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci bench-smoke bench-gate bench-determinism serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
 
 all: build test
 
@@ -77,6 +77,13 @@ bench-gate:
 		-max-requests 2000 -min-completed 1 -json BENCH_serve_fresh.json
 	$(GO) run ./cmd/benchgate -serve-baseline BENCH_serve.json -serve-fresh BENCH_serve_fresh.json
 	rm -f BENCH_fresh.json BENCH_serve_fresh.json
+
+# Benchmark determinism: perfbench is its own module, so `go test ./...` at
+# the root never reaches it. Its test pins the Juliet verdict vector against
+# Table II, and requires two runs of each workload with the same seed to give
+# identical exact counts, verdicts and serve stream digest (~1 min).
+bench-determinism:
+	cd perfbench && $(GO) test ./...
 
 # Traffic-campaign smoke: a bounded closed-loop run of the shipped
 # interactive/batch spec through cmd/serve, with the flight recorder armed

@@ -445,7 +445,7 @@ func (e *Engine) planFor(p *prog.Program) faultinject.Plan {
 // sanitizer runtime. Call Release when done with it so pooled resources
 // return to the pool; forgetting Release only costs pool misses.
 func (e *Engine) NewMachine(p *prog.Program) (*Machine, error) {
-	return e.newMachine(p, e.opts.FreshRuntime)
+	return e.newMachine(p, machineConfig{fresh: e.opts.FreshRuntime})
 }
 
 // machineConfig is the full construction policy for one machine. The zero
@@ -463,15 +463,8 @@ type machineConfig struct {
 	bypassCache bool
 }
 
-// newMachine builds a machine, on fresh (never-pooled) runtime and resources
-// when fresh is set, on pooled ones otherwise. The fault-retry path forces
-// fresh to rule out pool-state corruption.
-func (e *Engine) newMachine(p *prog.Program, fresh bool) (*Machine, error) {
-	return e.newMachineCfg(p, machineConfig{fresh: fresh})
-}
-
-// newMachineCfg builds a machine under an explicit construction policy.
-func (e *Engine) newMachineCfg(p *prog.Program, mc machineConfig) (*Machine, error) {
+// newMachine builds a machine under an explicit construction policy.
+func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error) {
 	fresh := mc.fresh
 	var ip *prog.Program
 	if mc.bypassCache {
@@ -696,35 +689,7 @@ func (m *Machine) Release() {
 // Stats. Budget faults skip the retry — their triggers cannot depend on pool
 // state.
 func (e *Engine) Run(p *prog.Program, inputs ...[]byte) (*interp.Result, error) {
-	m, err := e.NewMachine(p)
-	if err != nil {
-		return nil, err
-	}
-	m.Feed(inputs...)
-	res := m.Run()
-	recycled := m.recycled
-	m.Release()
-	fo := AsFault(res.Err)
-	if fo == nil || fo.Class != FaultPanic || !recycled {
-		return res, nil
-	}
-	e.faultRetries.Add(1)
-	fm, err := e.newMachine(p, true)
-	if err != nil {
-		return res, nil // cannot retry; keep the unattributed fault
-	}
-	fm.Feed(inputs...)
-	res2 := fm.Run()
-	fm.Release()
-	if fo2 := AsFault(res2.Err); fo2 != nil {
-		// classifyFault already marked a reproduced panic deterministic
-		// (the retry machine is never recycled).
-		fo2.Retried = true
-		return res2, nil
-	}
-	// The fault vanished on a fresh runtime: the recycled state is suspect.
-	e.faultsPoolSuspect.Add(1)
-	return res2, nil
+	return e.run(p, machineConfig{fresh: e.opts.FreshRuntime}, nil, true, inputs)
 }
 
 // PlannedRun configures one RunPlanned execution.
@@ -742,29 +707,63 @@ type PlannedRun struct {
 	Trace *obs.RequestTrace
 }
 
-// RunPlanned executes p exactly once under an explicit per-run fault plan.
-// Unlike Run it never auto-retries a panic on recycled state: callers that
+// RunPlanned executes p under an explicit per-run fault plan. When the
+// caller armed nothing (zero Plan, no BypassCache) it behaves like Run,
+// including the single fresh-machine retry of a panic on recycled state.
+// When the caller armed an injection it never auto-retries: callers that
 // inject faults on purpose (the serving layer's chaos mode) own the retry
 // policy themselves, and a retry under the same plan would just reproduce
 // the injection. Panicked machines are still dropped from the pools.
 func (e *Engine) RunPlanned(p *prog.Program, pr PlannedRun, inputs ...[]byte) (*interp.Result, error) {
-	tr := pr.Trace
+	mc := machineConfig{fresh: e.opts.FreshRuntime, plan: &pr.Plan, bypassCache: pr.BypassCache}
+	return e.run(p, mc, pr.Trace, pr.Plan.Zero() && !pr.BypassCache, inputs)
+}
+
+// run is the one execution body behind Run and RunPlanned: build the
+// machine, feed, run, release, and — when retry is set — repeat once on a
+// fresh machine after a panic on recycled state.
+func (e *Engine) run(p *prog.Program, mc machineConfig, tr *obs.RequestTrace, retry bool, inputs [][]byte) (*interp.Result, error) {
+	res, recycled, err := e.runOnce(p, mc, tr, inputs)
+	if err != nil {
+		return nil, err
+	}
+	fo := AsFault(res.Err)
+	if !retry || fo == nil || fo.Class != FaultPanic || !recycled {
+		return res, nil
+	}
+	e.faultRetries.Add(1)
+	mc.fresh = true
+	res2, _, err := e.runOnce(p, mc, tr, inputs)
+	if err != nil {
+		return res, nil // cannot retry; keep the unattributed fault
+	}
+	if fo2 := AsFault(res2.Err); fo2 != nil {
+		// classifyFault already marked a reproduced panic deterministic
+		// (the retry machine is never recycled).
+		fo2.Retried = true
+		return res2, nil
+	}
+	// The fault vanished on a fresh runtime: the recycled state is suspect.
+	e.faultsPoolSuspect.Add(1)
+	return res2, nil
+}
+
+// runOnce is one instrument→feed→run→release pass. It reports whether the
+// machine ran on recycled state. A non-nil tr receives instrument, run and
+// reset spans.
+func (e *Engine) runOnce(p *prog.Program, mc machineConfig, tr *obs.RequestTrace, inputs [][]byte) (*interp.Result, bool, error) {
 	var t0 time.Time
 	if tr != nil {
 		t0 = time.Now()
 	}
-	m, err := e.newMachineCfg(p, machineConfig{
-		fresh:       e.opts.FreshRuntime,
-		plan:        &pr.Plan,
-		bypassCache: pr.BypassCache,
-	})
+	m, err := e.newMachine(p, mc)
 	if tr != nil {
 		// Machine construction is where instrumentation happens (cached or
 		// fresh), so the span covers the whole lookup-or-instrument phase.
 		tr.Span("instrument", t0, time.Since(t0))
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	m.Feed(inputs...)
 	if tr != nil {
@@ -779,7 +778,7 @@ func (e *Engine) RunPlanned(p *prog.Program, pr PlannedRun, inputs ...[]byte) (*
 	if tr != nil {
 		tr.Span("reset", t0, time.Since(t0))
 	}
-	return res, nil
+	return res, m.recycled, nil
 }
 
 // ForEach runs fn(0..n-1) across the engine's worker pool. All items run

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cecsan/internal/faultinject"
+	"cecsan/internal/rt"
 	"cecsan/internal/sanitizers"
 	"cecsan/prog"
 )
@@ -81,6 +82,52 @@ func TestRunPlannedPanicNoAutoRetry(t *testing.T) {
 	}
 	if got := eng.Stats().FaultRetries; got != 0 {
 		t.Fatalf("FaultRetries = %d, want 0 (RunPlanned must not auto-retry)", got)
+	}
+}
+
+// poisonedRuntime stands in for a pooled runtime left corrupted by an
+// earlier case: every allocation through it panics.
+type poisonedRuntime struct{ rt.Runtime }
+
+func (poisonedRuntime) Malloc(int64) (uint64, rt.PtrMeta, error) {
+	panic("poisoned pooled runtime")
+}
+
+// A zero-plan RunPlanned arms nothing, so it must keep Run's pool-corruption
+// recovery: a panic on a recycled runtime is retried once on a fresh machine,
+// the clean retry result is returned, and the verdict is pool-suspect.
+func TestRunPlannedZeroPlanRetriesPoolSuspect(t *testing.T) {
+	p := compileSrc(t, normalSrc)
+	eng, err := New(sanitizers.CECSan, Options{MaxInstructions: 100_000})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	good, err := eng.newSanitizer()
+	if err != nil {
+		t.Fatalf("newSanitizer: %v", err)
+	}
+	// sync.Pool drops a random share of Puts under the race detector, so
+	// seed several poisoned bundles; the first Get returns one of them.
+	for i := 0; i < 16; i++ {
+		eng.sanPool.Put(rt.Sanitizer{Runtime: poisonedRuntime{good.Runtime}, Profile: good.Profile})
+	}
+
+	res, err := eng.RunPlanned(p, PlannedRun{})
+	if err != nil {
+		t.Fatalf("RunPlanned: %v", err)
+	}
+	if res.Err != nil || res.Violation != nil {
+		t.Fatalf("retry result not clean: err=%v violation=%v", res.Err, res.Violation)
+	}
+	if res.Ret != 7 {
+		t.Fatalf("Ret = %d, want 7", res.Ret)
+	}
+	s := eng.Stats()
+	if s.FaultRetries != 1 {
+		t.Errorf("Stats.FaultRetries = %d, want 1", s.FaultRetries)
+	}
+	if s.FaultsPoolSuspect != 1 {
+		t.Errorf("Stats.FaultsPoolSuspect = %d, want 1", s.FaultsPoolSuspect)
 	}
 }
 

@@ -18,6 +18,8 @@ package faultinject
 import (
 	"errors"
 	"sync/atomic"
+
+	"cecsan/internal/splitmix"
 )
 
 // ErrInjectedOOM is the typed error an injected allocation failure returns.
@@ -61,17 +63,6 @@ type Plan struct {
 // Zero reports whether the plan injects nothing.
 func (p Plan) Zero() bool { return p == Plan{} }
 
-// splitmix64 is the standard SplitMix64 step: a tiny, statistically solid
-// generator whose whole state is one uint64, so a (seed, key) pair maps to a
-// stream with no shared state between cases.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Schedule derives the fault plan for one case from the campaign fault seed
 // and a per-case key (the engine uses the program fingerprint). The mapping
 // is pure: the same (faultSeed, key) pair always yields the same plan, which
@@ -83,20 +74,22 @@ func Schedule(faultSeed, key uint64) Plan {
 	if faultSeed == 0 {
 		return Plan{}
 	}
-	x := faultSeed ^ (key * 0x9e3779b97f4a7c15)
-	r := splitmix64(&x)
+	// Each (seed, key) pair positions its own SplitMix64 stream, so no
+	// state is shared between cases.
+	x := splitmix.Rand{State: faultSeed ^ (key * splitmix.Golden)}
+	r := x.Next()
 	switch r & 7 {
 	case 0, 1:
-		return Plan{MallocFailNth: 1 + int64(splitmix64(&x)%8)}
+		return Plan{MallocFailNth: 1 + int64(x.Next()%8)}
 	case 2, 3:
-		return Plan{MetatableCap: 1 + splitmix64(&x)%24}
+		return Plan{MetatableCap: 1 + x.Next()%24}
 	case 4, 5:
-		return Plan{PageMapFailNth: 1 + int64(splitmix64(&x)%64)}
+		return Plan{PageMapFailNth: 1 + int64(x.Next()%64)}
 	case 6:
 		// Combined pressure: a clamped table and a later allocation failure.
 		return Plan{
-			MetatableCap:  1 + splitmix64(&x)%24,
-			MallocFailNth: 4 + int64(splitmix64(&x)%8),
+			MetatableCap:  1 + x.Next()%24,
+			MallocFailNth: 4 + int64(x.Next()%8),
 		}
 	default:
 		return Plan{} // control case: no injection
@@ -204,22 +197,22 @@ func ChaosSchedule(chaosSeed, reqIndex uint64) ChaosPlan {
 	if reqIndex%(2*ChaosPhase) >= ChaosPhase {
 		return ChaosPlan{} // calm half-cycle: let the resilience machinery recover
 	}
-	x := chaosSeed ^ ((reqIndex + 1) * 0x9e3779b97f4a7c15)
-	r := splitmix64(&x)
+	x := splitmix.Rand{State: chaosSeed ^ ((reqIndex + 1) * splitmix.Golden)}
+	r := x.Next()
 	switch r & 7 {
 	case 0, 1:
 		// Seeded worker panic: the nth allocation of the request's run
 		// panics, exercising the engine's recovery and the retry policy.
-		return ChaosPlan{Run: Plan{MallocPanicNth: 1 + int64(splitmix64(&x)%4)}}
+		return ChaosPlan{Run: Plan{MallocPanicNth: 1 + int64(x.Next()%4)}}
 	case 2, 3:
 		// Injected malloc OOM burst: several consecutive allocations fail.
 		return ChaosPlan{Run: Plan{
-			MallocFailNth:   1 + int64(splitmix64(&x)%6),
-			MallocFailBurst: 1 + int64(splitmix64(&x)%4),
+			MallocFailNth:   1 + int64(x.Next()%6),
+			MallocFailBurst: 1 + int64(x.Next()%4),
 		}}
 	case 4:
 		// Nth-request slow-down: 200µs–2ms of injected queue pressure.
-		return ChaosPlan{SlowdownUS: 200 + int64(splitmix64(&x)%1800)}
+		return ChaosPlan{SlowdownUS: 200 + int64(x.Next()%1800)}
 	case 5:
 		// Instrumentation cache-fill failure.
 		return ChaosPlan{CacheBypass: true}

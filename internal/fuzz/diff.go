@@ -19,6 +19,7 @@ import (
 	"cecsan/internal/obs"
 	"cecsan/internal/rt"
 	"cecsan/internal/sanitizers"
+	"cecsan/internal/splitmix"
 )
 
 // Config parameterizes a differential campaign.
@@ -485,7 +486,7 @@ func (r *Runner) Campaign() (*Report, error) {
 		outs := make([]caseOut, hi-lo)
 		err := r.engines[0].ForEach(hi-lo, func(j int) error {
 			i := lo + j
-			c := Generate(caseSeed(r.cfg.Seed, i))
+			c := Generate(splitmix.Derive(r.cfg.Seed, uint64(i)))
 			outs[j].oracle = c.Oracle
 			outs[j].theCase = c
 			p, err := csrc.Compile(c.Source)
@@ -529,7 +530,7 @@ func (r *Runner) Campaign() (*Report, error) {
 	// Minimization regenerates each finding's case from its seed — pure in
 	// (campaign seed, case index), so it works identically for findings
 	// carried over from a snapshot.
-	r.minimizeFindings(rep, func(i int) *Case { return Generate(caseSeed(r.cfg.Seed, i)) })
+	r.minimizeFindings(rep, func(i int) *Case { return Generate(splitmix.Derive(r.cfg.Seed, uint64(i))) })
 	return rep, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"cecsan/internal/engine"
 	"cecsan/internal/interp"
 	"cecsan/internal/sanitizers"
+	"cecsan/internal/splitmix"
 )
 
 // TestFusedMatchesUnfused is the superinstruction equivalence property:
@@ -41,7 +42,7 @@ func TestFusedMatchesUnfused(t *testing.T) {
 			fused, unfused := mk(tool, false), mk(tool, true)
 			compiled := 0
 			for i := 0; i < corpus; i++ {
-				c := Generate(caseSeed(seed, i))
+				c := Generate(splitmix.Derive(seed, uint64(i)))
 				p, err := csrc.Compile(c.Source)
 				if err != nil {
 					continue // generator emitted a shape this tool set can't compile; fine

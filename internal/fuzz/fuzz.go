@@ -105,37 +105,3 @@ type Case struct {
 	objects []object
 	ops     []op
 }
-
-// rng is a splitmix64 stream: tiny, seedable, and stable across Go
-// versions (unlike math/rand), which the determinism guarantee needs.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// rangeIn returns a value in [lo, hi] inclusive.
-func (r *rng) rangeIn(lo, hi int) int { return lo + r.intn(hi-lo+1) }
-
-// chance returns true with probability num/den.
-func (r *rng) chance(num, den int) bool { return r.intn(den) < num }
-
-// caseSeed derives the per-case seed from a campaign base seed and index.
-func caseSeed(base uint64, i int) uint64 {
-	r := rng{s: base ^ (uint64(i)+1)*0x9e3779b97f4a7c15}
-	return r.next()
-}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"cecsan/internal/splitmix"
 )
 
 // object is one buffer the generated program owns. Plain buffers live on
@@ -47,7 +49,7 @@ type op struct {
 
 // genState carries the per-case generator state.
 type genState struct {
-	r       *rng
+	r       *splitmix.Rand
 	objects []object
 	nameN   int
 }
@@ -82,16 +84,16 @@ var fixedGlobals = []struct{ name, decl string }{
 // genObjects builds 1-3 objects. Object 0 is always a plain buffer so at
 // least one bug shape applies to every layout.
 func genObjects(g *genState) {
-	n := g.r.rangeIn(1, 3)
+	n := g.r.RangeIn(1, 3)
 	for i := 0; i < n; i++ {
 		o := object{name: g.fresh("o")}
-		if i > 0 && g.r.chance(1, 4) {
+		if i > 0 && g.r.Chance(1, 4) {
 			o.seg = "heap"
-			o.structBuf = []int64{8, 12, 16, 20, 24, 32}[g.r.intn(6)]
+			o.structBuf = []int64{8, 12, 16, 20, 24, 32}[g.r.Intn(6)]
 			g.objects = append(g.objects, o)
 			continue
 		}
-		switch g.r.intn(3) {
+		switch g.r.Intn(3) {
 		case 0:
 			o.seg = "heap"
 		case 1:
@@ -101,7 +103,7 @@ func genObjects(g *genState) {
 		}
 		o.elem, o.es = "char", 1
 		if o.seg != "heap" { // malloc buffers are byte-typed
-			switch g.r.intn(4) {
+			switch g.r.Intn(4) {
 			case 0:
 				o.elem, o.es = "int", 4
 			case 1:
@@ -112,11 +114,11 @@ func genObjects(g *genState) {
 		}
 		switch o.es {
 		case 1:
-			o.count = int64(g.r.rangeIn(16, 64))
+			o.count = int64(g.r.RangeIn(16, 64))
 		case 4:
-			o.count = int64(g.r.rangeIn(4, 16))
+			o.count = int64(g.r.RangeIn(4, 16))
 		default:
-			o.count = int64(g.r.rangeIn(2, 8))
+			o.count = int64(g.r.RangeIn(2, 8))
 		}
 		g.objects = append(g.objects, o)
 	}
@@ -136,7 +138,7 @@ var benignBuilders = []benignBuilder{
 		i := g.fresh("i")
 		return &op{uses: []int{oi}, lines: []string{fmt.Sprintf(
 			"for (%s = 0; %s < %d; %s += 1) { %s[%s] = %d; }",
-			i, i, o.count, i, o.name, i, g.r.intn(100))}}
+			i, i, o.count, i, o.name, i, g.r.Intn(100))}}
 	},
 	// Read-and-sum loop.
 	func(g *genState, oi int) *op {
@@ -159,8 +161,8 @@ var benignBuilders = []benignBuilder{
 		}
 		v := g.fresh("v")
 		return &op{uses: []int{oi}, lines: []string{
-			fmt.Sprintf("var %s = %d;", v, g.r.intn(int(o.count))),
-			fmt.Sprintf("%s[%s] = %d;", o.name, v, g.r.intn(100))}}
+			fmt.Sprintf("var %s = %d;", v, g.r.Intn(int(o.count))),
+			fmt.Sprintf("%s[%s] = %d;", o.name, v, g.r.Intn(100))}}
 	},
 	// Single in-bounds load.
 	func(g *genState, oi int) *op {
@@ -170,7 +172,7 @@ var benignBuilders = []benignBuilder{
 		}
 		v := g.fresh("v")
 		return &op{uses: []int{oi}, lines: []string{
-			fmt.Sprintf("var %s = %s[%d];", v, o.name, g.r.intn(int(o.count))),
+			fmt.Sprintf("var %s = %s[%d];", v, o.name, g.r.Intn(int(o.count))),
 			fmt.Sprintf("print_int(%s);", v)}}
 	},
 	// memset of a prefix.
@@ -179,9 +181,9 @@ var benignBuilders = []benignBuilder{
 		if o.isStruct() {
 			return nil
 		}
-		n := 1 + g.r.intn(int(o.bytes()))
+		n := 1 + g.r.Intn(int(o.bytes()))
 		return &op{uses: []int{oi}, lines: []string{
-			fmt.Sprintf("memset(%s, %d, %d);", o.name, g.r.intn(50), n)}}
+			fmt.Sprintf("memset(%s, %d, %d);", o.name, g.r.Intn(50), n)}}
 	},
 	// memcpy from the zero-filled global source.
 	func(g *genState, oi int) *op {
@@ -189,7 +191,7 @@ var benignBuilders = []benignBuilder{
 		if o.isStruct() {
 			return nil
 		}
-		n := 1 + g.r.intn(int(o.bytes()))
+		n := 1 + g.r.Intn(int(o.bytes()))
 		return &op{uses: []int{oi}, lines: []string{
 			fmt.Sprintf("memcpy(%s, %s, %d);", o.name, gSrcName, n)}}
 	},
@@ -209,7 +211,7 @@ var benignBuilders = []benignBuilder{
 		if o.isStruct() || o.elem != "char" {
 			return nil
 		}
-		n := 1 + g.r.intn(int(o.bytes())-1)
+		n := 1 + g.r.Intn(int(o.bytes())-1)
 		return &op{uses: []int{oi}, lines: []string{
 			fmt.Sprintf("strncpy(%s, %s, %d);", o.name, gSrcName, n)}}
 	},
@@ -219,9 +221,9 @@ var benignBuilders = []benignBuilder{
 		if !o.wideOK() {
 			return nil
 		}
-		n := 1 + g.r.intn(int(o.bytes()/4))
+		n := 1 + g.r.Intn(int(o.bytes()/4))
 		return &op{uses: []int{oi}, lines: []string{
-			fmt.Sprintf("wmemset(%s, %d, %d);", o.name, g.r.intn(50), n)}}
+			fmt.Sprintf("wmemset(%s, %d, %d);", o.name, g.r.Intn(50), n)}}
 	},
 	// wmemcpy from the wide global source.
 	func(g *genState, oi int) *op {
@@ -233,7 +235,7 @@ var benignBuilders = []benignBuilder{
 		if limit > 16 {
 			limit = 16
 		}
-		n := 1 + g.r.intn(int(limit))
+		n := 1 + g.r.Intn(int(limit))
 		return &op{uses: []int{oi}, lines: []string{
 			fmt.Sprintf("wmemcpy(%s, %s, %d);", o.name, gWideName, n)}}
 	},
@@ -246,7 +248,7 @@ var benignBuilders = []benignBuilder{
 		a, v := g.fresh("x"), g.fresh("v")
 		return &op{uses: []int{oi}, lines: []string{
 			fmt.Sprintf("var %s = externret ext_identity(%s);", a, o.name),
-			fmt.Sprintf("var %s = %s[%d];", v, a, g.r.intn(int(o.count))),
+			fmt.Sprintf("var %s = %s[%d];", v, a, g.r.Intn(int(o.count))),
 			fmt.Sprintf("print_int(%s);", v)}}
 	},
 	// Helper-call flow: the pointer crosses a function boundary.
@@ -256,9 +258,9 @@ var benignBuilders = []benignBuilder{
 			return nil
 		}
 		h := g.fresh("helper")
-		idx := g.r.intn(int(o.bytes())) // helpers index byte-wise
+		idx := g.r.Intn(int(o.bytes())) // helpers index byte-wise
 		return &op{uses: []int{oi},
-			helper: fmt.Sprintf("func %s(p) { p[%d] = %d; }", h, idx, g.r.intn(100)),
+			helper: fmt.Sprintf("func %s(p) { p[%d] = %d; }", h, idx, g.r.Intn(100)),
 			lines:  []string{fmt.Sprintf("%s(%s);", h, o.name)}}
 	},
 	// recv-driven store behind a bounds guard, fed an in-range payload.
@@ -268,7 +270,7 @@ var benignBuilders = []benignBuilder{
 			return nil
 		}
 		rb, k := g.fresh("rb"), g.fresh("k")
-		payload := byte(g.r.intn(int(o.count)))
+		payload := byte(g.r.Intn(int(o.count)))
 		return &op{uses: []int{oi}, inputs: [][]byte{{payload}}, lines: []string{
 			fmt.Sprintf("var %s = local char[8];", rb),
 			fmt.Sprintf("recv(%s, 8);", rb),
@@ -289,7 +291,7 @@ var benignBuilders = []benignBuilder{
 			return nil
 		}
 		return &op{uses: []int{oi}, lines: []string{
-			fmt.Sprintf("%s->t%d = %d;", o.name, g.r.intn(2), g.r.intn(100))}}
+			fmt.Sprintf("%s->t%d = %d;", o.name, g.r.Intn(2), g.r.Intn(100))}}
 	},
 	// Struct buf-field store through a runtime index (sub-object GEP).
 	func(g *genState, oi int) *op {
@@ -299,8 +301,8 @@ var benignBuilders = []benignBuilder{
 		}
 		v := g.fresh("v")
 		return &op{uses: []int{oi}, lines: []string{
-			fmt.Sprintf("var %s = %d;", v, g.r.intn(int(o.structBuf))),
-			fmt.Sprintf("%s->buf[%s] = %d;", o.name, v, g.r.intn(100))}}
+			fmt.Sprintf("var %s = %d;", v, g.r.Intn(int(o.structBuf))),
+			fmt.Sprintf("%s->buf[%s] = %d;", o.name, v, g.r.Intn(100))}}
 	},
 	// In-bounds memcpy into the struct's buf field (sub-object decay).
 	func(g *genState, oi int) *op {
@@ -308,7 +310,7 @@ var benignBuilders = []benignBuilder{
 		if !o.isStruct() {
 			return nil
 		}
-		n := 1 + g.r.intn(int(o.structBuf))
+		n := 1 + g.r.Intn(int(o.structBuf))
 		return &op{uses: []int{oi}, lines: []string{
 			fmt.Sprintf("memcpy(%s->buf, %s, %d);", o.name, gSrcName, n)}}
 	},
@@ -319,8 +321,8 @@ var benignBuilders = []benignBuilder{
 // every object kind).
 func genBenign(g *genState) *op {
 	for {
-		oi := g.r.intn(len(g.objects))
-		b := benignBuilders[g.r.intn(len(benignBuilders))]
+		oi := g.r.Intn(len(g.objects))
+		b := benignBuilders[g.r.Intn(len(benignBuilders))]
 		if o := b(g, oi); o != nil {
 			return o
 		}
@@ -330,22 +332,22 @@ func genBenign(g *genState) *op {
 // Generate builds the case for one seed: a random program, injected with
 // exactly one labelled bug three times out of four.
 func Generate(seed uint64) *Case {
-	g := &genState{r: newRNG(seed)}
+	g := &genState{r: splitmix.New(seed)}
 	genObjects(g)
 
 	var ops []*op
-	for n := g.r.rangeIn(2, 5); n > 0; n-- {
+	for n := g.r.RangeIn(2, 5); n > 0; n-- {
 		ops = append(ops, genBenign(g))
 	}
 
 	oracle := Oracle{}
-	if g.r.chance(3, 4) {
+	if g.r.Chance(3, 4) {
 		bugOp, o := injectBug(g)
 		oracle = o
 		if shapeFor(o.Shape).atEnd {
 			ops = append(ops, bugOp)
 		} else {
-			at := g.r.intn(len(ops) + 1)
+			at := g.r.Intn(len(ops) + 1)
 			ops = append(ops[:at], append([]*op{bugOp}, ops[at:]...)...)
 		}
 	}

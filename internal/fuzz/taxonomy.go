@@ -60,7 +60,7 @@ var shapes = []bugShape{
 	{name: "oob_store", class: ClassSpatial, applies: plain,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			dd := int64(g.r.rangeIn(0, 2))
+			dd := int64(g.r.RangeIn(0, 2))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("%s[%d] = 7;", o.name, o.count+dd)}},
 				Oracle{Kind: rt.KindOOBWrite,
@@ -69,7 +69,7 @@ var shapes = []bugShape{
 	{name: "oob_load", class: ClassSpatial, applies: plain,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			dd := int64(g.r.rangeIn(0, 2))
+			dd := int64(g.r.RangeIn(0, 2))
 			v := g.fresh("v")
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("var %s = %s[%d];", v, o.name, o.count+dd),
@@ -95,7 +95,7 @@ var shapes = []bugShape{
 	{name: "oob_loop", class: ClassSpatial, applies: plain,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			dd := int64(g.r.rangeIn(1, 2))
+			dd := int64(g.r.RangeIn(1, 2))
 			i := g.fresh("i")
 			return &op{uses: []int{oi}, lines: []string{fmt.Sprintf(
 					"for (%s = 0; %s < %d; %s += 1) { %s[%s] = 5; }",
@@ -117,7 +117,7 @@ var shapes = []bugShape{
 	{name: "oob_memcpy", class: ClassSpatial, applies: plain,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			n := o.bytes() + int64(g.r.rangeIn(1, 8))
+			n := o.bytes() + int64(g.r.RangeIn(1, 8))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("memcpy(%s, %s, %d);", o.name, gSrcName, n)}},
 				Oracle{Kind: rt.KindOOBWrite, Libc: "memcpy", OffStart: o.bytes(), OffEnd: n}
@@ -125,7 +125,7 @@ var shapes = []bugShape{
 	{name: "oob_memset", class: ClassSpatial, applies: plain,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			n := o.bytes() + int64(g.r.rangeIn(1, 8))
+			n := o.bytes() + int64(g.r.RangeIn(1, 8))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("memset(%s, 1, %d);", o.name, n)}},
 				Oracle{Kind: rt.KindOOBWrite, Libc: "memset", OffStart: o.bytes(), OffEnd: n}
@@ -144,7 +144,7 @@ var shapes = []bugShape{
 	{name: "oob_strncpy", class: ClassSpatial, applies: plainChar,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			n := o.bytes() + int64(g.r.rangeIn(1, 8))
+			n := o.bytes() + int64(g.r.RangeIn(1, 8))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("strncpy(%s, %s, %d);", o.name, gSrcName, n)}},
 				Oracle{Kind: rt.KindOOBWrite, Libc: "strncpy", OffStart: o.bytes(), OffEnd: n}
@@ -153,7 +153,7 @@ var shapes = []bugShape{
 		applies: func(g *genState, oi int) bool { return g.obj(oi).wideOK() },
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			n := o.bytes()/4 + int64(g.r.rangeIn(1, 4))
+			n := o.bytes()/4 + int64(g.r.RangeIn(1, 4))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("wmemset(%s, 3, %d);", o.name, n)}},
 				Oracle{Kind: rt.KindOOBWrite, Libc: "wmemset", Wide: true,
@@ -166,7 +166,7 @@ var shapes = []bugShape{
 		},
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			n := o.bytes()/4 + int64(g.r.rangeIn(1, 4))
+			n := o.bytes()/4 + int64(g.r.RangeIn(1, 4))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("wcsncpy(%s, %s, %d);", o.name, gWideName, n)}},
 				Oracle{Kind: rt.KindOOBWrite, Libc: "wcsncpy", Wide: true,
@@ -179,7 +179,7 @@ var shapes = []bugShape{
 		},
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			dd := int64(g.r.rangeIn(0, 2))
+			dd := int64(g.r.RangeIn(0, 2))
 			rb, k := g.fresh("rb"), g.fresh("k")
 			return &op{uses: []int{oi}, inputs: [][]byte{{byte(o.count + dd)}},
 					lines: []string{
@@ -196,7 +196,7 @@ var shapes = []bugShape{
 	{name: "subobj_store", class: ClassSubObject, applies: isStruct,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			dd := int64(g.r.rangeIn(0, 7))
+			dd := int64(g.r.RangeIn(0, 7))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("%s->buf[%d] = 1;", o.name, o.structBuf+dd)}},
 				Oracle{Kind: rt.KindSubObjectOverflow, SubObject: true,
@@ -205,7 +205,7 @@ var shapes = []bugShape{
 	{name: "subobj_memcpy", class: ClassSubObject, applies: isStruct,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			n := o.structBuf + int64(g.r.rangeIn(1, 8))
+			n := o.structBuf + int64(g.r.RangeIn(1, 8))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("memcpy(%s->buf, %s, %d);", o.name, gSrcName, n)}},
 				Oracle{Kind: rt.KindSubObjectOverflow, SubObject: true, Libc: "memcpy",
@@ -218,7 +218,7 @@ var shapes = []bugShape{
 			o.freedByBug = true
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("free(%s);", o.name),
-					fmt.Sprintf("%s[%d] = 5;", o.name, g.r.intn(int(o.bytes())))}},
+					fmt.Sprintf("%s[%d] = 5;", o.name, g.r.Intn(int(o.bytes())))}},
 				Oracle{Kind: rt.KindUseAfterFree}
 		}},
 	{name: "uaf_load", class: ClassTemporal, atEnd: true, applies: heapPlain,
@@ -228,7 +228,7 @@ var shapes = []bugShape{
 			v := g.fresh("v")
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("free(%s);", o.name),
-					fmt.Sprintf("var %s = %s[%d];", v, o.name, g.r.intn(int(o.bytes()))),
+					fmt.Sprintf("var %s = %s[%d];", v, o.name, g.r.Intn(int(o.bytes()))),
 					fmt.Sprintf("print_int(%s);", v)}},
 				Oracle{Kind: rt.KindUseAfterFree}
 		}},
@@ -236,7 +236,7 @@ var shapes = []bugShape{
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
 			o.freedByBug = true
-			n := 1 + g.r.intn(int(o.bytes()))
+			n := 1 + g.r.Intn(int(o.bytes()))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("free(%s);", o.name),
 					fmt.Sprintf("memcpy(%s, %s, %d);", o.name, gSrcName, n)}},
@@ -246,7 +246,7 @@ var shapes = []bugShape{
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
 			o.freedByBug = true
-			n := 1 + g.r.intn(int(o.bytes()))
+			n := 1 + g.r.Intn(int(o.bytes()))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("free(%s);", o.name),
 					fmt.Sprintf("memset(%s, 0, %d);", o.name, n)}},
@@ -260,7 +260,7 @@ var shapes = []bugShape{
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
 			o.freedByBug = true
-			n := 1 + g.r.intn(int(o.bytes()/4))
+			n := 1 + g.r.Intn(int(o.bytes()/4))
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("free(%s);", o.name),
 					fmt.Sprintf("wmemset(%s, 1, %d);", o.name, n)}},
@@ -277,7 +277,7 @@ var shapes = []bugShape{
 					fmt.Sprintf("%s = %s;", gCellName, o.name),
 					fmt.Sprintf("free(%s);", o.name),
 					fmt.Sprintf("var %s = %s;", q, gCellName),
-					fmt.Sprintf("%s[%d] = 2;", q, g.r.intn(int(o.bytes())))}},
+					fmt.Sprintf("%s[%d] = 2;", q, g.r.Intn(int(o.bytes())))}},
 				Oracle{Kind: rt.KindUseAfterFree, Reloaded: true}
 		}},
 	// Enough churn to evict the chunk from ASan's 2 MiB quarantine, then a
@@ -297,7 +297,7 @@ var shapes = []bugShape{
 					fmt.Sprintf("for (%s = 0; %s < 24; %s += 1) { var %s = malloc(131072); free(%s); }",
 						i, i, i, t, t),
 					fmt.Sprintf("var %s = malloc(%d);", u, o.bytes()),
-					fmt.Sprintf("%s[%d] = 3;", o.name, g.r.intn(int(o.bytes())))}},
+					fmt.Sprintf("%s[%d] = 3;", o.name, g.r.Intn(int(o.bytes())))}},
 				Oracle{Kind: rt.KindUseAfterFree, Reuse: true}
 		}},
 	// realloc-lifetime temporal shapes: the old chunk's lifetime ends inside
@@ -310,7 +310,7 @@ var shapes = []bugShape{
 			q := g.fresh("q")
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("var %s = realloc(%s, %d);", q, o.name, 2*o.bytes()),
-					fmt.Sprintf("%s[%d] = 5;", o.name, g.r.intn(int(o.bytes())))}},
+					fmt.Sprintf("%s[%d] = 5;", o.name, g.r.Intn(int(o.bytes())))}},
 				Oracle{Kind: rt.KindUseAfterFree}
 		}},
 	{name: "uaf_realloc_alias", class: ClassTemporal, atEnd: true, applies: heapPlain,
@@ -321,7 +321,7 @@ var shapes = []bugShape{
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("var %s = %s;", a, o.name),
 					fmt.Sprintf("var %s = realloc(%s, %d);", q, o.name, o.bytes()+16),
-					fmt.Sprintf("%s[%d] = 7;", a, g.r.intn(int(o.bytes())))}},
+					fmt.Sprintf("%s[%d] = 7;", a, g.r.Intn(int(o.bytes())))}},
 				Oracle{Kind: rt.KindUseAfterFree}
 		}},
 	// The same-size variant reopens the tag-reuse window without ASan-scale
@@ -337,7 +337,7 @@ var shapes = []bugShape{
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("var %s = realloc(%s, %d);", q, o.name, o.bytes()),
 					fmt.Sprintf("var %s = malloc(%d);", u, o.bytes()),
-					fmt.Sprintf("%s[%d] = 3;", o.name, g.r.intn(int(o.bytes())))}},
+					fmt.Sprintf("%s[%d] = 3;", o.name, g.r.Intn(int(o.bytes())))}},
 				Oracle{Kind: rt.KindUseAfterFree, IndexReuse: true}
 		}},
 	{name: "double_free", class: ClassTemporal, atEnd: true,
@@ -400,7 +400,7 @@ var shapes = []bugShape{
 	{name: "extern_oob", class: ClassExternal, applies: plainChar,
 		build: func(g *genState, oi int) (*op, Oracle) {
 			o := g.obj(oi)
-			dd := int64(g.r.rangeIn(0, 2))
+			dd := int64(g.r.RangeIn(0, 2))
 			x := g.fresh("x")
 			return &op{uses: []int{oi}, lines: []string{
 					fmt.Sprintf("var %s = externret ext_identity(%s);", x, o.name),
@@ -441,14 +441,14 @@ func injectBug(g *genState) (*op, Oracle) {
 			}
 		}
 	}
-	s := &shapes[applicable[g.r.intn(len(applicable))]]
+	s := &shapes[applicable[g.r.Intn(len(applicable))]]
 	var objs []int
 	for oi := range g.objects {
 		if s.applies(g, oi) {
 			objs = append(objs, oi)
 		}
 	}
-	oi := objs[g.r.intn(len(objs))]
+	oi := objs[g.r.Intn(len(objs))]
 	bugOp, o := s.build(g, oi)
 	bugOp.essential = true
 	o.Injected = true

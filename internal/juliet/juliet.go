@@ -21,6 +21,7 @@ package juliet
 import (
 	"fmt"
 
+	"cecsan/internal/splitmix"
 	"cecsan/prog"
 )
 
@@ -269,24 +270,15 @@ func Generate(cwe CWE, n int) ([]*Case, error) {
 	return out, nil
 }
 
-// splitmix64 is the SplitMix64 mixing function, used to derive independent
-// deterministic dimension picks from a case index.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // buildCase assembles case i of a CWE from the enumeration dimensions.
 // Dimensions are picked by hashing the index so that every dimension varies
 // immediately (a plain mixed radix would leave small suites with a single
 // buffer size) while shape frequencies stay exactly proportional to their
 // weights.
 func buildCase(cwe CWE, i int, ss []shape) (*Case, error) {
-	h := splitmix64(uint64(i) ^ uint64(cwe)<<32)
+	h := splitmix.Mix(uint64(i) ^ uint64(cwe)<<32)
 	pick := func(n int) int {
-		h = splitmix64(h)
+		h = splitmix.Mix(h)
 		return int(h % uint64(n))
 	}
 	sh := ss[i%len(ss)]

@@ -3,50 +3,16 @@ package traffic
 import (
 	"math"
 	"time"
+
+	"cecsan/internal/splitmix"
 )
-
-// rng is a splitmix64 stream, the same generator internal/fuzz uses: tiny,
-// seedable, and stable across Go versions — the determinism contract
-// (byte-identical streams for a fixed (spec, seed)) depends on that
-// stability, which math/rand does not promise.
-type rng struct{ s uint64 }
-
-const golden = 0x9e3779b97f4a7c15
-
-func newRNG(seed uint64) *rng {
-	if seed == 0 {
-		seed = golden
-	}
-	return &rng{s: seed}
-}
-
-func (r *rng) next() uint64 {
-	r.s += golden
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform draw in [0, 1) with 53 bits of precision.
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// mix derives an independent child seed from (seed, salt): the one-level
-// seed tree that gives every client its own arrival and program streams.
-func mix(seed, salt uint64) uint64 {
-	r := rng{s: seed ^ (salt+1)*golden}
-	return r.next()
-}
 
 // arrivalSampler draws inter-arrival times for one client class. All three
 // processes are normalized to the same mean inter-arrival 1/rate, so
 // rate_fraction splits traffic volume and the process only shapes its
 // burstiness.
 type arrivalSampler struct {
-	r       *rng
+	r       *splitmix.Rand
 	process string
 	rate    float64 // arrivals per virtual second
 
@@ -61,7 +27,7 @@ type arrivalSampler struct {
 // newArrivalSampler builds the sampler for one client's arrival spec at the
 // client's absolute rate.
 func newArrivalSampler(spec ArrivalSpec, rate float64, seed uint64) *arrivalSampler {
-	a := &arrivalSampler{r: newRNG(seed), process: spec.Process, rate: rate}
+	a := &arrivalSampler{r: splitmix.New(seed), process: spec.Process, rate: rate}
 	switch spec.Process {
 	case ProcessGamma:
 		// CV of a gamma is 1/sqrt(k): pick k from the requested CV, then
@@ -92,13 +58,13 @@ func (a *arrivalSampler) next() time.Duration {
 
 // expDraw is a unit-mean exponential draw. 1-u is in (0, 1], so the log is
 // finite.
-func expDraw(r *rng) float64 { return -math.Log(1 - r.float()) }
+func expDraw(r *splitmix.Rand) float64 { return -math.Log(1 - r.Float()) }
 
 // normDraw is a standard normal draw via Box–Muller. It burns two uniforms
 // per value (no cached spare), keeping the stream's state a single uint64.
-func normDraw(r *rng) float64 {
-	u := 1 - r.float() // (0, 1]
-	v := r.float()
+func normDraw(r *splitmix.Rand) float64 {
+	u := 1 - r.Float() // (0, 1]
+	v := r.Float()
 	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 }
 
@@ -106,9 +72,9 @@ func normDraw(r *rng) float64 {
 // (2000); the k < 1 boost uses the standard Gamma(k+1)·U^(1/k) identity.
 // Rejection loops are fine for determinism: the draw consumes a definite
 // prefix of the seeded stream.
-func gammaDraw(r *rng, k float64) float64 {
+func gammaDraw(r *splitmix.Rand, k float64) float64 {
 	if k < 1 {
-		return gammaDraw(r, k+1) * math.Pow(1-r.float(), 1/k)
+		return gammaDraw(r, k+1) * math.Pow(1-r.Float(), 1/k)
 	}
 	d := k - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
@@ -119,7 +85,7 @@ func gammaDraw(r *rng, k float64) float64 {
 			continue
 		}
 		v = v * v * v
-		u := 1 - r.float() // (0, 1]
+		u := 1 - r.Float() // (0, 1]
 		if u < 1-0.0331*x*x*x*x {
 			return d * v
 		}

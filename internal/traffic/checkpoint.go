@@ -65,6 +65,44 @@ type ClassCounterState struct {
 	ChaosInjected  int64 `json:"chaos_injected"`
 }
 
+// export snapshots the counters (the latency histogram travels separately).
+func (cc *classCounters) export() ClassCounterState {
+	return ClassCounterState{
+		Generated:      cc.generated.Load(),
+		Admitted:       cc.admitted.Load(),
+		Shed:           cc.shed.Load(),
+		ShedBucket:     cc.shedBucket.Load(),
+		ShedDelay:      cc.shedDelay.Load(),
+		Completed:      cc.completed.Load(),
+		Good:           cc.good.Load(),
+		Faults:         cc.faults.Load(),
+		Detected:       cc.detected.Load(),
+		DeadlineMisses: cc.deadlineMisses.Load(),
+		Abandoned:      cc.abandoned.Load(),
+		Retries:        cc.retries.Load(),
+		RetrySuccesses: cc.retrySuccesses.Load(),
+		ChaosInjected:  cc.chaosInjected.Load(),
+	}
+}
+
+// restore overwrites the counters with a snapshot.
+func (cc *classCounters) restore(n ClassCounterState) {
+	cc.generated.Store(n.Generated)
+	cc.admitted.Store(n.Admitted)
+	cc.shed.Store(n.Shed)
+	cc.shedBucket.Store(n.ShedBucket)
+	cc.shedDelay.Store(n.ShedDelay)
+	cc.completed.Store(n.Completed)
+	cc.good.Store(n.Good)
+	cc.faults.Store(n.Faults)
+	cc.detected.Store(n.Detected)
+	cc.deadlineMisses.Store(n.DeadlineMisses)
+	cc.abandoned.Store(n.Abandoned)
+	cc.retries.Store(n.Retries)
+	cc.retrySuccesses.Store(n.RetrySuccesses)
+	cc.chaosInjected.Store(n.ChaosInjected)
+}
+
 // Fingerprint is a stable identity for the spec's content: the hex SHA-256
 // of its canonical JSON encoding. Checkpoints embed it so a resume against
 // a different spec fails loudly instead of silently forking the stream.
@@ -96,24 +134,9 @@ func (s *server) capture(stream *Stream) (*ServeCheckpoint, error) {
 		cc := s.counters[i]
 		cls := s.classes[i]
 		c := ClassCheckpoint{
-			ID: s.spec.Clients[i].ID,
-			Counters: ClassCounterState{
-				Generated:      cc.generated.Load(),
-				Admitted:       cc.admitted.Load(),
-				Shed:           cc.shed.Load(),
-				ShedBucket:     cc.shedBucket.Load(),
-				ShedDelay:      cc.shedDelay.Load(),
-				Completed:      cc.completed.Load(),
-				Good:           cc.good.Load(),
-				Faults:         cc.faults.Load(),
-				Detected:       cc.detected.Load(),
-				DeadlineMisses: cc.deadlineMisses.Load(),
-				Abandoned:      cc.abandoned.Load(),
-				Retries:        cc.retries.Load(),
-				RetrySuccesses: cc.retrySuccesses.Load(),
-				ChaosInjected:  cc.chaosInjected.Load(),
-			},
-			Latency: cc.lat.Export(),
+			ID:       s.spec.Clients[i].ID,
+			Counters: cc.export(),
+			Latency:  cc.lat.Export(),
 		}
 		if cls.breaker != nil {
 			b := cls.breaker.export()
@@ -168,21 +191,7 @@ func (s *server) restore(stream *Stream, ck *ServeCheckpoint) error {
 		}
 		cc := s.counters[i]
 		cls := s.classes[i]
-		n := &c.Counters
-		cc.generated.Store(n.Generated)
-		cc.admitted.Store(n.Admitted)
-		cc.shed.Store(n.Shed)
-		cc.shedBucket.Store(n.ShedBucket)
-		cc.shedDelay.Store(n.ShedDelay)
-		cc.completed.Store(n.Completed)
-		cc.good.Store(n.Good)
-		cc.faults.Store(n.Faults)
-		cc.detected.Store(n.Detected)
-		cc.deadlineMisses.Store(n.DeadlineMisses)
-		cc.abandoned.Store(n.Abandoned)
-		cc.retries.Store(n.Retries)
-		cc.retrySuccesses.Store(n.RetrySuccesses)
-		cc.chaosInjected.Store(n.ChaosInjected)
+		cc.restore(c.Counters)
 		if err := cc.lat.Import(c.Latency); err != nil {
 			return fmt.Errorf("traffic: resume: class %q: %w", c.ID, err)
 		}
@@ -210,7 +219,7 @@ func (s *server) restore(stream *Stream, ck *ServeCheckpoint) error {
 				return fmt.Errorf("traffic: resume: class %q: %w", c.ID, err)
 			}
 		}
-		admitted += n.Admitted
+		admitted += c.Counters.Admitted
 	}
 	if (ck.Flight != nil) != (s.rec != nil) {
 		return fmt.Errorf("traffic: resume: flight state %v in checkpoint, recorder armed %v now", ck.Flight != nil, s.rec != nil)

@@ -10,6 +10,7 @@ import (
 	"cecsan/internal/faultinject"
 	"cecsan/internal/interp"
 	"cecsan/internal/sanitizers"
+	"cecsan/internal/splitmix"
 )
 
 // ResilienceConfig tunes the overload-resilience layer: adaptive admission,
@@ -353,13 +354,6 @@ type ladder struct {
 	recoveries   atomic.Int64
 }
 
-// engine returns the current rung's engine.
-func (l *ladder) engine() *engine.Engine {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rungs[l.level].eng
-}
-
 // engineRung returns the current rung's engine and name (for the request
 // trace's attempt annotation).
 func (l *ladder) engineRung() (*engine.Engine, string) {
@@ -476,7 +470,7 @@ func backoffUS(cfg ResilienceConfig, seed, reqIndex uint64, attempt int) int64 {
 		return d
 	}
 	half := uint64(d / 2)
-	j := mix(seed^reqIndex, 0xb0ff^uint64(attempt)) % half
+	j := splitmix.Derive(seed^reqIndex, 0xb0ff^uint64(attempt)) % half
 	return int64(half) + int64(j)
 }
 

@@ -336,7 +336,7 @@ func TestChaosExercisesResilience(t *testing.T) {
 }
 
 // TestChaosOffMatchesLegacyStream pins the non-interference guarantee: with
-// chaos off, a resilient campaign and the legacy path generate the same
+// chaos off, a resilient campaign and one without resilience generate the same
 // deterministic stream (same digest), and a clean workload trips nothing —
 // zero breaker flaps, zero degradations, zero retries.
 func TestChaosOffMatchesLegacyStream(t *testing.T) {

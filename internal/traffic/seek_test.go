@@ -3,23 +3,25 @@ package traffic
 import (
 	"fmt"
 	"testing"
+
+	"cecsan/internal/splitmix"
 )
 
 // randomSpecSrc builds a randomized but valid spec from a splitmix64
 // stream: 1-3 classes over mixed arrival processes, program kinds and
 // variant counts, with normalized rate fractions.
-func randomSpecSrc(r *rng) string {
+func randomSpecSrc(r *splitmix.Rand) string {
 	processes := []string{"poisson", "gamma", "weibull"}
 	kinds := []string{"spatial", "churn", "mixed"}
-	n := 1 + r.intn(3)
+	n := 1 + r.Intn(3)
 	fracs := make([]float64, n)
 	total := 0.0
 	for i := range fracs {
-		fracs[i] = 1 + float64(r.intn(9))
+		fracs[i] = 1 + float64(r.Intn(9))
 		total += fracs[i]
 	}
 	src := fmt.Sprintf("version: \"1\"\nseed: %d\naggregate_rate: %d\nclients:\n",
-		1+r.intn(1_000_000), 500+r.intn(5000))
+		1+r.Intn(1_000_000), 500+r.Intn(5000))
 	for i := 0; i < n; i++ {
 		src += fmt.Sprintf(`  - id: class%d
     rate_fraction: %.6f
@@ -29,7 +31,7 @@ func randomSpecSrc(r *rng) string {
     program:
       kind: %s
       variants: %d
-`, i, fracs[i]/total, 10*(1+r.intn(20)), processes[r.intn(len(processes))], kinds[r.intn(len(kinds))], 1+r.intn(4))
+`, i, fracs[i]/total, 10*(1+r.Intn(20)), processes[r.Intn(len(processes))], kinds[r.Intn(len(kinds))], 1+r.Intn(4))
 	}
 	return src
 }
@@ -42,15 +44,15 @@ func randomSpecSrc(r *rng) string {
 // already pinned worker-count-independent (TestServeDigestWorkerIndependence,
 // TestServeCheckpointResume below cover workers ∈ {1, 4} end to end).
 func TestSeekEquivalence(t *testing.T) {
-	r := newRNG(0x5eeb)
+	r := splitmix.New(0x5eeb)
 	for trial := 0; trial < 8; trial++ {
 		src := randomSpecSrc(r)
 		spec, err := Parse(src)
 		if err != nil {
 			t.Fatalf("trial %d: generated spec invalid: %v\n%s", trial, err, src)
 		}
-		total := 50 + r.intn(200)
-		n := r.intn(total)
+		total := 50 + r.Intn(200)
+		n := r.Intn(total)
 
 		discard, err := NewStream(spec, 0)
 		if err != nil {

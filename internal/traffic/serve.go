@@ -46,15 +46,17 @@ type ServeConfig struct {
 	// Resilience, when set, arms the overload-resilience layer: CoDel-style
 	// delay shedding, per-class token buckets (open-loop), bounded retries
 	// with seeded backoff, per-class circuit breakers and the graceful-
-	// degradation ladder. Nil keeps the pre-resilience serving path
-	// byte-for-byte.
+	// degradation ladder. Nil serves every request through the same loop
+	// with none of them: one attempt on the class engine, no shedding
+	// beyond a full open-loop queue.
 	Resilience *ResilienceConfig
 	// ChaosSeed, when nonzero, arms the chaos campaign: each request's
 	// injection derives from (ChaosSeed, stream index) via
 	// faultinject.ChaosSchedule, and the campaign switches to per-class
 	// ordered execution so its resilience accounting — summarized in
 	// ChaosDigest — is byte-identical at any worker count (closed-loop).
-	// Chaos implies Resilience (defaults when nil).
+	// Chaos implies Resilience (defaults when nil) and disarms the
+	// wall-clock mechanisms, CoDel shedding and token buckets.
 	ChaosSeed uint64
 	// Obs, when set, registers per-class latency histograms, percentile
 	// gauges and deadline/shed counters, and is passed to the engines.
@@ -95,29 +97,17 @@ type ServeConfig struct {
 	Restarts int64
 }
 
-// ClassStats is one class's campaign accounting.
+// ClassStats is one class's campaign accounting. Its request counters are
+// the embedded ClassCounterState, the same fields a checkpoint carries.
 type ClassStats struct {
-	Class            string  `json:"class"`
-	Tool             string  `json:"tool"`
-	Generated        int64   `json:"generated"`
-	Admitted         int64   `json:"admitted"`
-	Shed             int64   `json:"shed"`
-	ShedBucket       int64   `json:"shed_bucket"`
-	ShedDelay        int64   `json:"shed_delay"`
-	Completed        int64   `json:"completed"`
-	Good             int64   `json:"good"`
-	Faults           int64   `json:"faults"`
-	Detected         int64   `json:"detected"`
-	DeadlineMisses   int64   `json:"deadline_misses"`
-	Abandoned        int64   `json:"abandoned"`
-	Retries          int64   `json:"retries"`
-	RetrySuccesses   int64   `json:"retry_successes"`
+	Class string `json:"class"`
+	Tool  string `json:"tool"`
+	ClassCounterState
 	BreakerTrips     int64   `json:"breaker_trips"`
 	BreakerRejected  int64   `json:"breaker_rejected"`
 	Degradations     int64   `json:"degradations"`
 	Recoveries       int64   `json:"recoveries"`
 	DegradationLevel int     `json:"degradation_level"`
-	ChaosInjected    int64   `json:"chaos_injected"`
 	P50us            int64   `json:"p50_us"`
 	P95us            int64   `json:"p95_us"`
 	P99us            int64   `json:"p99_us"`
@@ -249,7 +239,6 @@ type server struct {
 	seed      uint64
 	workers   int
 	depth     int
-	resOn     bool
 	rc        ResilienceConfig
 	chaos     uint64
 	engines   []*engine.Engine
@@ -280,8 +269,9 @@ type server struct {
 }
 
 // Serve runs a campaign: a single producer walks the deterministic
-// request stream and admits into a bounded queue; Workers goroutines
-// drain it through per-class engines sharing one instrumentation cache.
+// request stream and admits into bounded queues; consumers drain them
+// through per-class engines sharing one instrumentation cache (see run for
+// the two queue topologies).
 // The request stream (and its digest) is independent of Workers,
 // QueueDepth, Speedup and every resilience decision — the digest is taken
 // as requests are generated, before any admission or shedding choice.
@@ -329,11 +319,13 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		res = &ResilienceConfig{}
 	}
 	if res != nil {
-		s.resOn = true
 		s.rc = res.resolve()
 		if s.chaos == 0 {
 			s.codel = newCoDel(s.rc)
 		}
+	} else {
+		// No resilience layer: one attempt per request on the class engine.
+		s.rc.RetryMax = -1
 	}
 
 	// One engine per class carries that class's budgets; all classes share
@@ -386,9 +378,9 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 		}
 
 		cls := &classState{}
-		if s.resOn {
-			// The full rung shares the class engine so legacy and
-			// resilient paths run identical configurations.
+		if res != nil {
+			// The full rung shares the class engine, so a campaign with
+			// and without resilience runs identical configurations.
 			lad, err := buildLadder(sanitizers.Name(c.Tool), s.rc, mk)
 			if err != nil {
 				return nil, fmt.Errorf("traffic: client %q: %w", c.ID, err)
@@ -396,7 +388,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 			lad.rungs[0].eng = eng
 			cls.ladder = lad
 			cls.breaker = newBreaker(s.rc)
-			if cfg.Speedup > 0 && s.rc.BucketHeadroom > 0 {
+			if s.chaos == 0 && cfg.Speedup > 0 && s.rc.BucketHeadroom > 0 {
 				share := c.RateFraction * spec.AggregateRate * cfg.Speedup
 				rate := share * s.rc.BucketHeadroom
 				// Burst absorbs ~20ms of the class's allowance: pacing
@@ -468,11 +460,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	}
 
 	start := time.Now()
-	if s.chaos != 0 {
-		s.runChaos(stream, start)
-	} else {
-		s.runShared(stream, start)
-	}
+	s.run(stream, start)
 	elapsed := time.Since(start)
 	stop()
 	if s.ckptErr != nil {
@@ -540,46 +528,42 @@ func (s *server) checkpointNow(stream *Stream) bool {
 	return true
 }
 
-// runShared is the shared-queue execution loop: legacy when resilience is
-// off, with CoDel shedding, breakers, retries and the ladder layered on
-// when it is. Workers fast-drain the queue as abandoned once the campaign
-// is stopped, so shutdown latency is bounded by in-flight runs, not by a
-// saturated backlog.
-func (s *server) runShared(stream *Stream, start time.Time) {
-	reqCh := make(chan queued, s.depth)
+// run is the campaign's one serve loop. A single producer owns pacing,
+// token-bucket and queue-full shedding, admission and the checkpoint
+// cadence; consumers hand every admitted request to consume. The two modes
+// differ only in queue topology:
+//
+//   - Without chaos, every class shares one queue drained by Workers
+//     consumers, so any idle worker takes the next request.
+//   - With chaos, each class gets its own queue drained by exactly one
+//     consumer, and a semaphore of Workers slots bounds simultaneous
+//     execution. A class's requests — and therefore its breaker
+//     transitions, retries and ladder moves — then happen in stream order
+//     at any worker count, which is what makes the chaos digest
+//     byte-identical. The price is concurrency capped at the number of
+//     classes, which is why ordered dispatch is not the default.
+func (s *server) run(stream *Stream, start time.Time) {
+	nq, consumers := 1, s.workers
+	var sem chan struct{}
+	if s.chaos != 0 {
+		nq, consumers = len(s.spec.Clients), 1
+		sem = make(chan struct{}, s.workers)
+	}
+	queues := make([]chan queued, nq)
+	for i := range queues {
+		queues[i] = make(chan queued, s.depth)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for q := range reqCh {
-				cc := s.counters[q.req.ClassIndex]
-				select {
-				case <-s.done:
-					// Stopped: account the backlog instead of running it.
-					cc.abandoned.Add(1)
-					s.finishTrace(q.tr, obs.OutcomeAbandoned)
-					s.finalized.Add(1)
-					continue
-				default:
+	for _, ch := range queues {
+		for w := 0; w < consumers; w++ {
+			wg.Add(1)
+			go func(ch <-chan queued) {
+				defer wg.Done()
+				for q := range ch {
+					s.consume(q, sem)
 				}
-				now := time.Now()
-				if s.codel != nil && s.codel.shed(now, now.Sub(q.at)) {
-					cc.shedDelay.Add(1)
-					s.recordSLO(q.req.ClassIndex, false)
-					s.finishTrace(q.tr, obs.OutcomeShedDelay)
-					s.finalized.Add(1)
-					continue
-				}
-				if s.resOn {
-					s.process(q.req.ClassIndex, q, faultinject.ChaosPlan{})
-				} else {
-					s.runLegacy(q)
-				}
-				s.finalized.Add(1)
-				s.progress()
-			}
-		}()
+			}(ch)
+		}
 	}
 
 producer:
@@ -593,9 +577,14 @@ producer:
 		if req == nil {
 			break
 		}
-		cc := s.counters[req.ClassIndex]
+		ci := req.ClassIndex
+		cc := s.counters[ci]
 		cc.generated.Add(1)
 		tr := s.newTrace(req)
+		ch := queues[0]
+		if sem != nil {
+			ch = queues[ci]
+		}
 		if s.cfg.Speedup > 0 {
 			target := start.Add(time.Duration(float64(req.Arrival) / s.cfg.Speedup))
 			if d := time.Until(target); d > 0 {
@@ -605,161 +594,109 @@ producer:
 				case <-time.After(d):
 				}
 			}
-			if b := s.classes[req.ClassIndex].bucket; b != nil && !b.allow(time.Now()) {
-				// Class over its burst allowance: shed at its own bucket
-				// before it can crowd the shared queue.
-				cc.shedBucket.Add(1)
-				s.recordSLO(req.ClassIndex, false)
-				s.finishTrace(tr, obs.OutcomeShedBucket)
-				if !s.maybeCheckpoint(stream) {
-					break producer
-				}
-				continue
-			}
-			// The admit event goes on before the send: a delivered trace
-			// belongs to the worker. If the send fails the producer still
-			// owns it and pops the event back off.
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case reqCh <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			default:
-				// Queue full under overload: shed instead of building an
-				// unbounded backlog.
-				cc.shed.Add(1)
-				s.recordSLO(req.ClassIndex, false)
-				if tr != nil {
-					tr.Events = tr.Events[:len(tr.Events)-1]
-				}
-				s.finishTrace(tr, obs.OutcomeShedQueue)
-			}
-		} else {
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case reqCh <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			case <-s.done:
-				break producer
-			}
+		}
+		if b := s.classes[ci].bucket; b != nil && !b.allow(time.Now()) {
+			// Class over its burst allowance: shed at its own bucket
+			// before it can crowd the shared queue.
+			cc.shedBucket.Add(1)
+			s.recordSLO(ci, false)
+			s.finishTrace(tr, obs.OutcomeShedBucket)
+		} else if !s.admit(ch, req, tr) {
+			break producer
 		}
 		if !s.maybeCheckpoint(stream) {
 			break producer
 		}
 	}
-	close(reqCh)
-	wg.Wait()
-}
-
-// runChaos is the deterministic chaos execution loop. Each class gets its
-// own bounded channel drained by exactly one consumer, so the class's
-// requests — and therefore its breaker transitions, retries and ladder
-// moves — happen in stream order regardless of concurrency; a semaphore of
-// Workers slots bounds simultaneous execution. Per-class accounting chains
-// then combine (in spec order) into a chaos digest that is byte-identical
-// at any worker count for a closed-loop campaign.
-func (s *server) runChaos(stream *Stream, start time.Time) {
-	chans := make([]chan queued, len(s.spec.Clients))
-	for i := range chans {
-		chans[i] = make(chan queued, s.depth)
-	}
-	sem := make(chan struct{}, s.workers)
-	var wg sync.WaitGroup
-	for i := range chans {
-		wg.Add(1)
-		go func(ci int, ch <-chan queued) {
-			defer wg.Done()
-			cc := s.counters[ci]
-			for q := range ch {
-				select {
-				case <-s.done:
-					// Stop is wall-clock territory: abandoned requests are
-					// excluded from the digest chain by construction.
-					cc.abandoned.Add(1)
-					s.finishTrace(q.tr, obs.OutcomeAbandoned)
-					s.finalized.Add(1)
-					continue
-				default:
-				}
-				sem <- struct{}{}
-				plan := faultinject.ChaosSchedule(s.chaos, uint64(q.req.Index))
-				code, attempts := s.process(ci, q, plan)
-				<-sem
-				s.classes[ci].digest.record(uint64(q.req.Index), code, attempts)
-				s.finalized.Add(1)
-				s.progress()
-			}
-		}(i, chans[i])
-	}
-
-producer:
-	for {
-		select {
-		case <-s.done:
-			break producer
-		default:
-		}
-		req := stream.Next()
-		if req == nil {
-			break
-		}
-		cc := s.counters[req.ClassIndex]
-		cc.generated.Add(1)
-		tr := s.newTrace(req)
-		if s.cfg.Speedup > 0 {
-			target := start.Add(time.Duration(float64(req.Arrival) / s.cfg.Speedup))
-			if d := time.Until(target); d > 0 {
-				select {
-				case <-s.done:
-					break producer
-				case <-time.After(d):
-				}
-			}
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case chans[req.ClassIndex] <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			default:
-				cc.shed.Add(1)
-				s.recordSLO(req.ClassIndex, false)
-				if tr != nil {
-					tr.Events = tr.Events[:len(tr.Events)-1]
-				}
-				s.finishTrace(tr, obs.OutcomeShedQueue)
-			}
-		} else {
-			if tr != nil {
-				tr.Add("admit")
-			}
-			select {
-			case chans[req.ClassIndex] <- queued{req: req, at: time.Now(), tr: tr}:
-				cc.admitted.Add(1)
-				s.admittedAll.Add(1)
-			case <-s.done:
-				break producer
-			}
-		}
-		if !s.maybeCheckpoint(stream) {
-			break producer
-		}
-	}
-	for _, ch := range chans {
+	for _, ch := range queues {
 		close(ch)
 	}
 	wg.Wait()
 }
 
-// process executes one admitted request under the resilience policy:
-// breaker gate, chaos arming on the first attempt, bounded retries with
-// seeded backoff, ladder-selected engine. It returns the digest outcome.
+// admit sends one request into its queue. Open-loop a full queue sheds the
+// request; closed-loop the producer blocks until a consumer takes it. It
+// returns false when the campaign stopped while the producer was blocked.
+func (s *server) admit(ch chan<- queued, req *Request, tr *obs.RequestTrace) bool {
+	cc := s.counters[req.ClassIndex]
+	// The admit event goes on before the send: a delivered trace belongs to
+	// the consumer. If the send fails the producer still owns it and pops
+	// the event back off.
+	if tr != nil {
+		tr.Add("admit")
+	}
+	q := queued{req: req, at: time.Now(), tr: tr}
+	if s.cfg.Speedup > 0 {
+		select {
+		case ch <- q:
+		default:
+			// Queue full under overload: shed instead of building an
+			// unbounded backlog.
+			cc.shed.Add(1)
+			s.recordSLO(req.ClassIndex, false)
+			if tr != nil {
+				tr.Events = tr.Events[:len(tr.Events)-1]
+			}
+			s.finishTrace(tr, obs.OutcomeShedQueue)
+			return true
+		}
+	} else {
+		select {
+		case ch <- q:
+		case <-s.done:
+			return false
+		}
+	}
+	cc.admitted.Add(1)
+	s.admittedAll.Add(1)
+	return true
+}
+
+// consume is every consumer's per-request body. Once the campaign is
+// stopped it fast-drains the backlog as abandoned, so shutdown latency is
+// bounded by in-flight runs, not by a saturated backlog; stop is
+// wall-clock territory, so abandoned requests stay out of the chaos chain.
+// sem, when set, bounds simultaneous execution across per-class consumers.
+func (s *server) consume(q queued, sem chan struct{}) {
+	ci := q.req.ClassIndex
+	cc := s.counters[ci]
+	select {
+	case <-s.done:
+		cc.abandoned.Add(1)
+		s.finishTrace(q.tr, obs.OutcomeAbandoned)
+		s.finalized.Add(1)
+		return
+	default:
+	}
+	if s.codel != nil {
+		if now := time.Now(); s.codel.shed(now, now.Sub(q.at)) {
+			cc.shedDelay.Add(1)
+			s.recordSLO(ci, false)
+			s.finishTrace(q.tr, obs.OutcomeShedDelay)
+			s.finalized.Add(1)
+			return
+		}
+	}
+	if sem != nil {
+		sem <- struct{}{}
+	}
+	code, attempts := s.process(ci, q, faultinject.ChaosSchedule(s.chaos, uint64(q.req.Index)))
+	if sem != nil {
+		<-sem
+	}
+	if d := s.classes[ci].digest; d != nil {
+		d.record(uint64(q.req.Index), code, attempts)
+	}
+	s.progress()
+	s.finalized.Add(1)
+}
+
+// process executes one admitted request and accounts it: breaker gate,
+// chaos arming on the first attempt, bounded retries with seeded backoff,
+// ladder-selected engine — each a no-op when the campaign did not arm it.
+// A sanitizer detection counts as completed (the service answered); only
+// harness faults (panic, budget exhaustion) and engine errors do not. It
+// returns the digest outcome.
 func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code byte, attempts int) {
 	cc := s.counters[ci]
 	cls := s.classes[ci]
@@ -790,16 +727,21 @@ func (s *server) process(ci int, q queued, chaos faultinject.ChaosPlan) (code by
 		if cls.ladder != nil {
 			eng, rungName = cls.ladder.engineRung()
 		}
+		var execStart time.Time
 		if tr != nil {
 			ev := tr.Add("attempt")
 			ev.Attempt = attempts
 			ev.Detail = rungName
+			execStart = time.Now()
 		}
 		res, err := eng.RunPlanned(q.req.Program, engine.PlannedRun{
 			Plan:        armed.Run,
 			BypassCache: armed.CacheBypass,
 			Trace:       tr,
 		}, q.req.Inputs...)
+		if tr != nil {
+			tr.Span("execute", execStart, time.Since(execStart))
+		}
 		fault := err != nil || res == nil || res.Err != nil
 		if cls.breaker != nil {
 			if cls.breaker.record(fault) && cls.ladder != nil {
@@ -943,25 +885,12 @@ func (s *server) collect(stream *Stream, elapsed time.Duration) *ServeResult {
 		cc := s.counters[i]
 		cls := s.classes[i]
 		cs := ClassStats{
-			Class:          c.ID,
-			Tool:           c.Tool,
-			Generated:      cc.generated.Load(),
-			Admitted:       cc.admitted.Load(),
-			Shed:           cc.shed.Load(),
-			ShedBucket:     cc.shedBucket.Load(),
-			ShedDelay:      cc.shedDelay.Load(),
-			Completed:      cc.completed.Load(),
-			Good:           cc.good.Load(),
-			Faults:         cc.faults.Load(),
-			Detected:       cc.detected.Load(),
-			DeadlineMisses: cc.deadlineMisses.Load(),
-			Abandoned:      cc.abandoned.Load(),
-			Retries:        cc.retries.Load(),
-			RetrySuccesses: cc.retrySuccesses.Load(),
-			ChaosInjected:  cc.chaosInjected.Load(),
-			P50us:          cc.lat.Quantile(0.50),
-			P95us:          cc.lat.Quantile(0.95),
-			P99us:          cc.lat.Quantile(0.99),
+			Class:             c.ID,
+			Tool:              c.Tool,
+			ClassCounterState: cc.export(),
+			P50us:             cc.lat.Quantile(0.50),
+			P95us:             cc.lat.Quantile(0.95),
+			P99us:             cc.lat.Quantile(0.99),
 		}
 		if cls.breaker != nil {
 			cs.BreakerTrips = cls.breaker.trips.Load()
@@ -1013,58 +942,6 @@ func (s *server) collect(stream *Stream, elapsed time.Duration) *ServeResult {
 		res.SLO = s.slo.Status()
 	}
 	return res
-}
-
-// runLegacy executes one admitted request on the pre-resilience path and
-// accounts it. A sanitizer detection still counts as completed (the service
-// answered); only harness faults (panic, budget exhaustion) and engine
-// errors do not.
-func (s *server) runLegacy(q queued) {
-	ci := q.req.ClassIndex
-	eng := s.engines[ci]
-	cc := s.counters[ci]
-	tr := q.tr
-	if tr != nil {
-		ev := tr.Add("dequeue")
-		ev.DurUS = time.Since(q.at).Microseconds()
-	}
-	execStart := time.Now()
-	res, err := eng.Run(q.req.Program, q.req.Inputs...)
-	if tr != nil {
-		// Run retries recycled panics internally, so the legacy path gets
-		// one aggregate span instead of instrument/run/reset sub-spans.
-		tr.Span("execute", execStart, time.Since(execStart))
-	}
-	lat := time.Since(q.at)
-	cc.lat.Observe(lat.Microseconds())
-	missed := q.req.Deadline > 0 && lat > q.req.Deadline
-	if missed {
-		cc.deadlineMisses.Add(1)
-	}
-	if tr != nil {
-		tr.Attempts = 1
-		tr.DeadlineMiss = missed
-	}
-	if err != nil || engine.AsFault(res.Err) != nil || res.Err != nil {
-		cc.faults.Add(1)
-		if tr != nil {
-			tr.Add("fault").Detail = faultDetail(err, res)
-		}
-		s.recordSLO(ci, false)
-		s.finishTrace(tr, obs.OutcomeFault)
-		return
-	}
-	cc.completed.Add(1)
-	if !missed {
-		cc.good.Add(1)
-	}
-	s.recordSLO(ci, !missed)
-	if res.Violation != nil {
-		cc.detected.Add(1)
-		s.finishTrace(tr, obs.OutcomeDetected)
-		return
-	}
-	s.finishTrace(tr, obs.OutcomeClean)
 }
 
 // registerClassGauges mirrors a class's counters, resilience state and

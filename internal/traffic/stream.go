@@ -9,6 +9,7 @@ import (
 
 	"cecsan/internal/checkpoint"
 	"cecsan/internal/sanitizers"
+	"cecsan/internal/splitmix"
 	"cecsan/prog"
 )
 
@@ -46,7 +47,7 @@ type Request struct {
 //
 // Determinism contract: the stream is a pure function of the spec content
 // and the seed. Each client owns three independent splitmix64 streams
-// derived from mix(spec seed, client index) — arrivals, variant picks and
+// derived from splitmix.Derive(spec seed, client index) — arrivals, variant picks and
 // variant program seeds — and the per-client streams are merged by
 // (virtual arrival time, spec order) with spec order breaking ties.
 // Nothing consults wall clocks, worker counts or map iteration order, so
@@ -70,7 +71,7 @@ type clientState struct {
 	spec     *ClientSpec
 	index    int
 	arrivals *arrivalSampler
-	picker   *rng
+	picker   *splitmix.Rand
 	variants []*Variant
 	nextAt   time.Duration
 }
@@ -90,15 +91,15 @@ func NewStream(spec *Spec, seedOverride uint64) (*Stream, error) {
 	s := &Stream{spec: spec, limit: spec.MaxRequests, digest: hashState{h: sha256.New()}}
 	for i := range spec.Clients {
 		c := &spec.Clients[i]
-		clientSeed := mix(seed, uint64(i)+1)
+		clientSeed := splitmix.Derive(seed, uint64(i)+1)
 		cs := &clientState{
 			spec:     c,
 			index:    i,
-			arrivals: newArrivalSampler(c.Arrival, spec.AggregateRate*c.RateFraction, mix(clientSeed, 1)),
-			picker:   newRNG(mix(clientSeed, 2)),
+			arrivals: newArrivalSampler(c.Arrival, spec.AggregateRate*c.RateFraction, splitmix.Derive(clientSeed, 1)),
+			picker:   splitmix.New(splitmix.Derive(clientSeed, 2)),
 		}
 		for j := 0; j < c.Program.Variants; j++ {
-			v, err := buildVariant(c.Program.Kind, mix(clientSeed, 3+uint64(j)))
+			v, err := buildVariant(c.Program.Kind, splitmix.Derive(clientSeed, 3+uint64(j)))
 			if err != nil {
 				return nil, err
 			}
@@ -172,7 +173,7 @@ func (s *Stream) step() (cs *clientState, vi int, arrival time.Duration) {
 		}
 	}
 	cs = s.clients[best]
-	vi = cs.picker.intn(len(cs.variants))
+	vi = cs.picker.Intn(len(cs.variants))
 	v := cs.variants[vi]
 	arrival = cs.nextAt
 	deadline := time.Duration(cs.spec.DeadlineMS * float64(time.Millisecond))
@@ -222,8 +223,8 @@ func (s *Stream) State() (*StreamState, error) {
 	st := &StreamState{Count: s.count, Digest: d}
 	for _, cs := range s.clients {
 		st.Clients = append(st.Clients, ClientStreamState{
-			ArrivalRNG: cs.arrivals.r.s,
-			PickerRNG:  cs.picker.s,
+			ArrivalRNG: cs.arrivals.r.State,
+			PickerRNG:  cs.picker.State,
 			NextAt:     cs.nextAt,
 		})
 	}
@@ -244,8 +245,8 @@ func (s *Stream) Restore(st *StreamState) error {
 	s.count = st.Count
 	for i, c := range st.Clients {
 		cs := s.clients[i]
-		cs.arrivals.r.s = c.ArrivalRNG
-		cs.picker.s = c.PickerRNG
+		cs.arrivals.r.State = c.ArrivalRNG
+		cs.picker.State = c.PickerRNG
 		cs.nextAt = c.NextAt
 	}
 	return nil

@@ -100,27 +100,51 @@ func TestFlightFaultedRetention(t *testing.T) {
 	}
 }
 
-// TestTraceLifecycleEvents: a retained trace from the resilience path
-// carries the full lifecycle — generate, admit, dequeue, attempt, and the
-// engine sub-spans (instrument, run, reset) from RunPlanned.
+// TestTraceLifecycleEvents: a retained executed trace carries the full
+// lifecycle — generate, admit, dequeue, attempt, the execute span around the
+// engine call, and the engine sub-spans (instrument, run) — in every serving
+// mode, because every mode runs the same loop and the same process.
 func TestTraceLifecycleEvents(t *testing.T) {
-	_, rec := chaosFlightRun(t, 2, -1)
-	for _, r := range rec.Records() {
-		if r.Outcome != obs.OutcomeFault && r.Outcome != obs.OutcomeClean {
-			continue
-		}
-		kinds := make(map[string]bool, len(r.Events))
-		for _, ev := range r.Events {
-			kinds[ev.Kind] = true
-		}
-		for _, want := range []string{"generate", "admit", "dequeue", "attempt", "instrument", "run"} {
-			if !kinds[want] {
-				t.Fatalf("trace %s (outcome %s) missing %q event: %+v", r.TraceID, r.Outcome, want, r.Events)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) *obs.FlightRecorder
+	}{
+		{"chaos", func(t *testing.T) *obs.FlightRecorder {
+			_, rec := chaosFlightRun(t, 2, -1)
+			return rec
+		}},
+		{"resilience_nil", func(t *testing.T) *obs.FlightRecorder {
+			rec := obs.NewFlightRecorder(obs.FlightConfig{Budget: 4096, SampleN: 8})
+			if _, err := Serve(ServeConfig{
+				Spec:        mustParse(t, serveSpec),
+				Workers:     2,
+				MaxRequests: 400,
+				Flight:      rec,
+			}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		return
+			return rec
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, r := range tc.run(t).Records() {
+				if r.Outcome != obs.OutcomeFault && r.Outcome != obs.OutcomeClean {
+					continue
+				}
+				kinds := make(map[string]bool, len(r.Events))
+				for _, ev := range r.Events {
+					kinds[ev.Kind] = true
+				}
+				for _, want := range []string{"generate", "admit", "dequeue", "attempt", "execute", "instrument", "run"} {
+					if !kinds[want] {
+						t.Fatalf("trace %s (outcome %s) missing %q event: %+v", r.TraceID, r.Outcome, want, r.Events)
+					}
+				}
+				return
+			}
+			t.Fatal("no executed trace retained")
+		})
 	}
-	t.Fatal("no executed trace retained")
 }
 
 // TestCheckpointFlightRoundtrip: the recorder's state rides the serve
