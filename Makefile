@@ -45,10 +45,11 @@ obs-smoke:
 	test -s artifacts/metrics-smoke.json
 	test -s artifacts/trace-smoke.json
 
-# The full local CI gate: static checks, build, the race-enabled unit
-# suites, the fuzz smokes (clean + hardened + fault-injected), and the
-# observability smoke.
+# The full local CI gate: static checks (gofmt-clean tree, vet), build, the
+# race-enabled unit suites, the fuzz smokes (clean + hardened +
+# fault-injected), and the observability smoke.
 ci:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -255,7 +255,7 @@ func TestBugsAreDetected(t *testing.T) {
 		},
 		{
 			name: "double free",
-			src: `func main() { var p = malloc(16); free(p); free(p); return 0; }`,
+			src:  `func main() { var p = malloc(16); free(p); free(p); return 0; }`,
 		},
 		{
 			name: "figure 3 sub-object overflow",

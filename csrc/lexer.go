@@ -135,7 +135,7 @@ func isNumChar(c byte, base int64) bool {
 	return false
 }
 
-// lexChar scans a character literal ('A', '\n', '\0', '\\', '\'').
+// lexChar scans a character literal ('A', '\n', '\0', '\\', '\”).
 func (l *lexer) lexChar() error {
 	start := l.line
 	l.pos++ // opening quote

@@ -1,6 +1,9 @@
 package alloc
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Quarantine is a bounded FIFO that delays chunk-address reuse: instead of
 // returning a chunk to the heap's size-class free lists at once, Free parks
@@ -22,6 +25,9 @@ type Quarantine struct {
 	budget int64
 	chunks []quarChunk // FIFO, oldest first
 	held   int64
+	// nChunks publishes len(chunks), written under mu, so OverheadBytes —
+	// read by the machine at every allocation event — takes no lock.
+	nChunks atomic.Int64
 
 	evictions int64 // chunks released early because the budget overflowed
 	flushes   int64 // explicit whole-quarantine releases (OOM retry path)
@@ -70,6 +76,7 @@ func (q *Quarantine) Free(h *Heap, addr uint64) bool {
 		q.evictions++
 		evict = append(evict, c)
 	}
+	q.nChunks.Store(int64(len(q.chunks)))
 	q.mu.Unlock()
 	for _, c := range evict {
 		h.Free(c.base)
@@ -86,6 +93,7 @@ func (q *Quarantine) Flush(h *Heap) int {
 	chunks := q.chunks
 	q.chunks = nil
 	q.held = 0
+	q.nChunks.Store(0)
 	if len(chunks) > 0 {
 		q.flushes++
 	}
@@ -104,6 +112,7 @@ func (q *Quarantine) Reset() {
 	defer q.mu.Unlock()
 	q.chunks = nil
 	q.held = 0
+	q.nChunks.Store(0)
 	q.evictions = 0
 	q.flushes = 0
 }
@@ -124,9 +133,8 @@ func (q *Quarantine) Stats() QuarantineStats {
 // OverheadBytes returns the quarantine's own bookkeeping footprint (one
 // (base, size) pair per held chunk). The held chunk bytes themselves remain
 // program memory — they are still live in the Heap — so they are charged to
-// the program RSS, not the sanitizer overhead.
+// the program RSS, not the sanitizer overhead. It reads the published chunk
+// count without taking the quarantine lock.
 func (q *Quarantine) OverheadBytes() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return int64(len(q.chunks)) * 16
+	return q.nChunks.Load() * 16
 }

@@ -68,6 +68,9 @@ func TestQuarantineEviction(t *testing.T) {
 	if s.Evictions != 1 || s.HeldChunks != 2 || s.HeldBytes != 128 {
 		t.Fatalf("Stats = %+v, want 1 eviction with 2 chunks / 128 bytes held", s)
 	}
+	if got := q.OverheadBytes(); got != 2*16 {
+		t.Fatalf("OverheadBytes = %d, want one (base, size) pair per held chunk = 32", got)
+	}
 	// The evicted (oldest) address is reusable; the held ones are not.
 	b, err := h.Alloc(64)
 	if err != nil {

@@ -86,11 +86,15 @@ type Table struct {
 	fifo []uint64 // freed indices awaiting re-threading, oldest first
 
 	live        int64
-	highWater   uint64 // largest index ever handed out + 1 (lazy-page RSS model)
 	allocs      int64
 	exhausted   int64 // allocations that fell back to the reserved entry
 	genWraps    int64 // generation counters that wrapped to 0 (coverage lost)
 	indexSpills int64 // delayed indices re-threaded early under exhaustion
+
+	// highWater is the largest index ever handed out + 1 (lazy-page RSS
+	// model). Written under mu; published atomically so TouchedBytes — read
+	// by the machine at every allocation event — takes no lock.
+	highWater atomic.Uint64
 }
 
 // TableStats is a snapshot of table counters.
@@ -146,7 +150,7 @@ func NewHardenedTable(arch tagptr.Arch, genBits uint, delay int) (*Table, error)
 	// genBits <= 56), so entry 0 decodes as generation 0 and keeps matching
 	// every untagged pointer.
 	t.slots[1].Store(reservedHigh)
-	t.highWater = 1
+	t.highWater.Store(1)
 	return t, nil
 }
 
@@ -247,8 +251,8 @@ func (t *Table) Allocate(low, high uint64, sub bool) (uint64, bool) {
 	t.gmi = uint64(int64(k) + next + 1)
 	t.live++
 	t.allocs++
-	if k+1 > t.highWater {
-		t.highWater = k + 1
+	if k+1 > t.highWater.Load() {
+		t.highWater.Store(k + 1)
 	}
 	return gen<<t.idxBits | k, true
 }
@@ -310,15 +314,16 @@ func (t *Table) Free(tag uint64) {
 func (t *Table) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.slots[:t.highWater*slotsPerEntry] {
+	hw := t.highWater.Load()
+	for i := range t.slots[:hw*slotsPerEntry] {
 		t.slots[i].Store(0)
 	}
-	for i := range t.sub[:t.highWater] {
+	for i := range t.sub[:hw] {
 		t.sub[i] = false
 	}
 	t.slots[1].Store(reservedHigh)
 	t.gmi = 1
-	t.highWater = 1
+	t.highWater.Store(1)
 	t.live = 0
 	t.allocs = 0
 	t.exhausted = 0
@@ -351,7 +356,7 @@ func (t *Table) Stats() TableStats {
 	defer t.mu.Unlock()
 	return TableStats{
 		Live:        t.live,
-		HighWater:   t.highWater,
+		HighWater:   t.highWater.Load(),
 		Allocs:      t.allocs,
 		Exhausted:   t.exhausted,
 		Capacity:    t.Capacity(),
@@ -362,12 +367,10 @@ func (t *Table) Stats() TableStats {
 }
 
 // TouchedBytes returns the table's resident footprint under the lazy-mmap
-// model: only pages up to the high-water entry have ever been written.
+// model: only pages up to the high-water entry have ever been written. It
+// reads the published high-water mark without taking the table lock.
 func (t *Table) TouchedBytes() int64 {
-	t.mu.Lock()
-	hw := t.highWater
-	t.mu.Unlock()
 	const page = 4096
-	b := int64(hw) * EntryBytes
+	b := int64(t.highWater.Load()) * EntryBytes
 	return (b + page - 1) / page * page
 }

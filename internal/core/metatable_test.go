@@ -260,6 +260,10 @@ func TestTableConcurrentChurn(t *testing.T) {
 				}
 				// Concurrent lock-free reads against writer traffic.
 				tbl.Load(idx)
+				if tbl.TouchedBytes() <= 0 {
+					t.Error("TouchedBytes not positive")
+					return
+				}
 			}
 			for _, idx := range mine {
 				tbl.Free(idx)

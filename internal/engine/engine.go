@@ -415,7 +415,7 @@ type Machine struct {
 	faulted  bool                  // a panic unwound through this machine
 	released bool
 
-	lane    int  // tracer lane held from Run until Release
+	lane    int // tracer lane held from Run until Release
 	hasLane bool
 }
 

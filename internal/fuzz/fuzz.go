@@ -47,10 +47,10 @@ const (
 // injected bug it carries the attributes the per-sanitizer expectation
 // models key on; for a clean program only Injected=false matters.
 type Oracle struct {
-	Injected bool   `json:"injected"`
-	Class    string `json:"class,omitempty"` // ClassSpatial, ...
-	Shape    string `json:"shape,omitempty"` // taxonomy entry name
-	Kind     rt.Kind `json:"-"`              // exact kind CECSan must report
+	Injected bool    `json:"injected"`
+	Class    string  `json:"class,omitempty"` // ClassSpatial, ...
+	Shape    string  `json:"shape,omitempty"` // taxonomy entry name
+	Kind     rt.Kind `json:"-"`               // exact kind CECSan must report
 
 	// Attributes of the buggy access, consumed by models.go.
 	Seg         string `json:"seg,omitempty"`  // "heap", "stack", "global"
@@ -58,9 +58,9 @@ type Oracle struct {
 	Wide        bool   `json:"wide,omitempty"` // wide-char libc carrier (wcs*/wmem*)
 	SubObject   bool   `json:"sub_object,omitempty"`
 	Underflow   bool   `json:"underflow,omitempty"`
-	FarStride   bool   `json:"far_stride,omitempty"`  // lands beyond any redzone
-	Extern      bool   `json:"extern,omitempty"`      // access through an externret pointer
-	Reloaded    bool   `json:"reloaded,omitempty"`    // pointer reloaded from memory
+	FarStride   bool   `json:"far_stride,omitempty"` // lands beyond any redzone
+	Extern      bool   `json:"extern,omitempty"`     // access through an externret pointer
+	Reloaded    bool   `json:"reloaded,omitempty"`   // pointer reloaded from memory
 	InputDriven bool   `json:"input_driven,omitempty"`
 	// Reuse marks a UAF staged so the freed chunk is genuinely recycled
 	// before the stale access: enough churn to flush ASan's quarantine,

@@ -279,4 +279,3 @@ func FormatTable2(eval *JulietEvaluation) string {
 	b.WriteString("\n")
 	return b.String()
 }
-

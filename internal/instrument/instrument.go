@@ -50,9 +50,9 @@ func Apply(p *prog.Program, profile rt.Profile) *prog.Program {
 // rewriter rebuilds a function's code with insertions/removals while
 // remapping branch targets and loop ranges.
 type rewriter struct {
-	f      *prog.Func
-	out    []prog.Instr
-	idxMap []int // old index -> new index of the group start
+	f       *prog.Func
+	out     []prog.Instr
+	idxMap  []int // old index -> new index of the group start
 	fromOld []bool
 }
 
@@ -130,8 +130,8 @@ func instrumentFunc(f *prog.Func, profile rt.Profile, globalSizes map[string]int
 	narrow := map[int]bool{}
 	var subRegs []prog.Reg
 	if profile.SubObject {
-		escapes := make(map[prog.Reg]bool)  // returned or stored as a value
-		dynamic := make(map[prog.Reg]bool)  // any use that needs runtime bounds
+		escapes := make(map[prog.Reg]bool) // returned or stored as a value
+		dynamic := make(map[prog.Reg]bool) // any use that needs runtime bounds
 		for i := range f.Code {
 			in := &f.Code[i]
 			switch in.Op {

@@ -525,7 +525,7 @@ func TestExternalCallCompatEndToEnd(t *testing.T) {
 	f := pb.Function("main", 0)
 	b := f.MallocBytes(32)
 	same := f.CallExternal("ext_identity", true, b)
-	f.Store(same, 0, f.Const(1), prog.Char()) // legal
+	f.Store(same, 0, f.Const(1), prog.Char())  // legal
 	f.Store(same, 32, f.Const(1), prog.Char()) // overflow
 	f.RetVoid()
 	built := pb.MustBuild()

@@ -27,12 +27,14 @@ type thread struct {
 	stack  *alloc.Stack
 	budget int64
 
-	// regArena and metaArena back call-frame register windows: each call
-	// carves [frameBase, frameBase+NumRegs) and releases it in its epilogue,
-	// so frame setup is a clear of recycled memory instead of a fresh
+	// regArena and metaArena back call-frame register windows: a caller
+	// carves the callee's [frameBase, frameBase+NumRegs), copies the
+	// arguments straight into it and pops it when the call returns, so
+	// frame setup is a clear of recycled memory instead of a fresh
 	// allocation per call. Growth reallocates the arena, but live parent
 	// frames keep their slices into the old backing array — every frame only
-	// ever touches its own window, so the windows never alias.
+	// ever touches its own window, so the windows never alias. The main
+	// thread borrows its arenas from the machine's Resources.
 	regArena  []uint64
 	metaArena []rt.PtrMeta
 	frameBase int
@@ -80,10 +82,11 @@ type trackedObj struct {
 	size int64
 }
 
-// call executes fn with the given argument values (and their per-pointer
-// metadata when tracking is enabled), returning the result value/meta or an
-// abort.
-func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth int) (uint64, rt.PtrMeta, *abort) {
+// call executes function fi of the machine's link in the register window
+// regs (and, when per-pointer metadata is tracked, metas), which the caller
+// carved with frame and filled with the arguments; the caller also pops the
+// window afterwards. It returns the result value/meta or an abort.
+func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (uint64, rt.PtrMeta, *abort) {
 	if depth > th.m.opts.MaxCallDepth {
 		return 0, rt.PtrMeta{}, &abort{err: ErrCallDepth}
 	}
@@ -95,24 +98,17 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 	m := th.m
 	run := m.san.Runtime
 	mask := m.addrMask
-
-	arenaMark := th.frameBase
-	regs, metas := th.frame(fn.NumRegs)
-	copy(regs, args)
-	if metas != nil {
-		copy(metas, argMeta)
-	}
+	fn, targets := m.link.Funcs[fi].Func, m.link.Funcs[fi].Targets
 
 	frameMark := th.stack.Mark()
 	var tracked []trackedObj
-	// epilogue releases tracked stack objects' metadata and pops the frame,
-	// returning the register window to the arena.
+	// epilogue releases tracked stack objects' metadata and pops the
+	// simulated stack frame.
 	epilogue := func() {
 		for _, ob := range tracked {
 			run.StackRelease(ob.ptr, ob.size)
 		}
 		th.stack.Release(frameMark)
-		th.frameBase = arenaMark
 	}
 
 	code := fn.Code
@@ -325,28 +321,36 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 				metas[in.Dst] = metas[in.A]
 			}
 		case prog.OpGlobalAddr:
-			regs[in.Dst] = m.globalPtr[in.Sym]
+			// An unresolved global reads as a null GPT entry.
+			var ptr uint64
+			var meta rt.PtrMeta
+			if slot := targets[pc]; slot >= 0 {
+				ptr, meta = m.gptPtr[slot], m.gptMeta[slot]
+			}
+			regs[in.Dst] = ptr
 			if metas != nil {
-				metas[in.Dst] = m.globalMeta[in.Sym]
+				metas[in.Dst] = meta
 			}
 		case prog.OpCall:
-			callee, ok := m.program.Funcs[in.Sym]
-			if !ok {
+			ci := targets[pc]
+			if ci < 0 {
 				epilogue()
 				return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: undefined function %q", in.Sym)}
 			}
-			cargs := make([]uint64, len(in.Args))
-			var cmetas []rt.PtrMeta
-			if metas != nil {
-				cmetas = make([]rt.PtrMeta, len(in.Args))
+			// Arguments go register-to-register into the callee's window.
+			mark := th.frameBase
+			cregs, cmetas := th.frame(m.link.Funcs[ci].Func.NumRegs)
+			args := in.Args[:min(len(in.Args), len(cregs))]
+			for i, a := range args {
+				cregs[i] = regs[a]
 			}
-			for i, a := range in.Args {
-				cargs[i] = regs[a]
-				if cmetas != nil {
+			if cmetas != nil {
+				for i, a := range args {
 					cmetas[i] = metas[a]
 				}
 			}
-			ret, rmeta, ab := th.call(callee, cargs, cmetas, depth+1)
+			ret, rmeta, ab := th.call(ci, cregs, cmetas, depth+1)
+			th.frameBase = mark
 			if ab != nil {
 				epilogue()
 				return 0, rt.PtrMeta{}, ab
@@ -372,7 +376,7 @@ func (th *thread) call(fn *prog.Func, args []uint64, argMeta []rt.PtrMeta, depth
 			regs[in.Dst] = ret
 			th.local.LibcCalls++
 		case prog.OpParFor:
-			if ab := th.parFor(in, regs, depth); ab != nil {
+			if ab := th.parFor(in, targets[pc], regs, depth); ab != nil {
 				epilogue()
 				return 0, rt.PtrMeta{}, ab
 			}
@@ -545,9 +549,10 @@ func (th *thread) report(v *rt.Violation, fnName string, pc int) *abort {
 	return &abort{violation: v}
 }
 
-// parFor runs in.Sym over [lo,hi) partitioned across in.Imm OS-level
-// workers — the OpenMP analogue used by the SPEC CPU2017 workloads.
-func (th *thread) parFor(in *prog.Instr, regs []uint64, depth int) *abort {
+// parFor runs in.Sym (function index fi, -1 when unresolved) over [lo,hi)
+// partitioned across in.Imm OS-level workers — the OpenMP analogue used by
+// the SPEC CPU2017 workloads.
+func (th *thread) parFor(in *prog.Instr, fi int32, regs []uint64, depth int) *abort {
 	m := th.m
 	lo := int64(regs[in.A])
 	hi := int64(regs[in.B])
@@ -555,10 +560,10 @@ func (th *thread) parFor(in *prog.Instr, regs []uint64, depth int) *abort {
 	if hi <= lo {
 		return nil
 	}
-	fn, ok := m.program.Funcs[in.Sym]
-	if !ok {
+	if fi < 0 {
 		return &abort{err: fmt.Errorf("interp: undefined parfor body %q", in.Sym)}
 	}
+	numRegs := m.link.Funcs[fi].Func.NumRegs
 	if workers < 1 {
 		workers = 1
 	}
@@ -602,11 +607,13 @@ func (th *thread) parFor(in *prog.Instr, regs []uint64, depth int) *abort {
 				if m.aborted.Load() {
 					return
 				}
-				var am []rt.PtrMeta
-				if m.trackMeta {
-					am = []rt.PtrMeta{{}}
+				wregs, wmetas := wt.frame(numRegs)
+				if len(wregs) > 0 {
+					wregs[0] = uint64(i)
 				}
-				if _, _, ab := wt.call(fn, []uint64{uint64(i)}, am, depth+1); ab != nil {
+				_, _, ab := wt.call(fi, wregs, wmetas, depth+1)
+				wt.frameBase = 0
+				if ab != nil {
 					if ab.err != errAbortedElsewhere {
 						aborts[w] = ab
 					}

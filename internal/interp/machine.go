@@ -11,6 +11,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,23 +151,28 @@ type Result struct {
 func (r *Result) Ok() bool { return r.Violation == nil && r.Fault == nil && r.Err == nil }
 
 // Resources bundles the reusable per-machine execution state: the simulated
-// address space and the stock allocators. A Resources value is what the
-// engine's machine pool recycles between cases — Reset returns all three to
-// their freshly-constructed state, so a machine built on reset resources
-// behaves byte-identically to one built on fresh ones (same addresses, same
-// zeroed memory, same RSS accounting).
+// address space, the stock allocators, the Global Pointer Table and the
+// main thread's register arenas. A Resources value is what the engine's
+// machine pool recycles between cases — Reset returns it to its
+// freshly-constructed state, so a machine built on reset resources behaves
+// byte-identically to one built on fresh ones (same addresses, same zeroed
+// memory, same RSS accounting).
 type Resources struct {
 	Space   *mem.Space
 	Heap    *alloc.Heap
 	Globals *alloc.Globals
 
-	// globalPtr/globalMeta back the machine's Global Pointer Table. They
-	// live here — not on the machine — so pooled reuse recycles the map
-	// storage: NewOn repopulates the cleared maps instead of allocating two
-	// fresh ones per run, which was the dominant setup cost left in the
-	// machine-construction path.
-	globalPtr  map[string]uint64
-	globalMeta map[string]rt.PtrMeta
+	// gptPtr/gptMeta back the machine's Global Pointer Table, indexed by
+	// the program's GPT slots (prog.Link). NewOn refills them per machine,
+	// so pooled reuse recycles their storage.
+	gptPtr  []uint64
+	gptMeta []rt.PtrMeta
+
+	// regArena/metaArena back the main thread's call-frame register
+	// windows (thread.frame clears every window it hands out). Run stores
+	// the possibly grown arenas back, so a pooled run allocates none.
+	regArena  []uint64
+	metaArena []rt.PtrMeta
 }
 
 // NewResources allocates a fresh resource bundle for the given canonical
@@ -177,11 +183,9 @@ func NewResources(addrBits uint) (*Resources, error) {
 		return nil, fmt.Errorf("interp: %w", err)
 	}
 	return &Resources{
-		Space:      space,
-		Heap:       alloc.NewHeap(),
-		Globals:    alloc.NewGlobals(),
-		globalPtr:  make(map[string]uint64, 8),
-		globalMeta: make(map[string]rt.PtrMeta, 8),
+		Space:   space,
+		Heap:    alloc.NewHeap(),
+		Globals: alloc.NewGlobals(),
 	}, nil
 }
 
@@ -191,15 +195,15 @@ func (r *Resources) Reset() {
 	r.Space.Reset()
 	r.Heap.Reset()
 	r.Globals.Reset()
-	clear(r.globalPtr)
-	clear(r.globalMeta)
 }
 
 // Machine executes one instrumented program under one sanitizer runtime.
 // A Machine is single-run: create a new one for each execution.
 type Machine struct {
 	program *prog.Program
+	link    *prog.Link
 	san     rt.Sanitizer
+	res     *Resources
 
 	space   *mem.Space
 	heap    *alloc.Heap
@@ -207,13 +211,14 @@ type Machine struct {
 
 	// addrMask clears tag bits when forming raw addresses; ^0 when the
 	// sanitizer does not tag pointers.
-	addrMask uint64
+	addrMask  uint64
 	trackMeta bool // per-pointer metadata frames enabled (SoftBound)
 
-	// globalPtr is the program-visible pointer for each global: the Global
-	// Pointer Table (§II.C.3). For tracked globals the value is tagged.
-	globalPtr map[string]uint64
-	globalMeta map[string]rt.PtrMeta
+	// gptPtr is the program-visible pointer for each global, indexed by
+	// GPT slot: the Global Pointer Table (§II.C.3). For tracked globals the
+	// value is tagged. gptMeta is the matching per-pointer metadata.
+	gptPtr  []uint64
+	gptMeta []rt.PtrMeta
 
 	opts Options
 
@@ -283,21 +288,19 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 	if got := res.Space.AddrBits(); got != opts.AddrBits {
 		return nil, fmt.Errorf("interp: resource space has %d address bits, machine wants %d", got, opts.AddrBits)
 	}
-	if res.globalPtr == nil {
-		// Bundles predating the pooled maps (zero-value Resources): behave
-		// like a fresh bundle.
-		res.globalPtr = make(map[string]uint64, len(p.Globals))
-		res.globalMeta = make(map[string]rt.PtrMeta, len(p.Globals))
-	}
+	res.gptPtr = slices.Grow(res.gptPtr[:0], len(p.Globals))[:len(p.Globals)]
+	res.gptMeta = slices.Grow(res.gptMeta[:0], len(p.Globals))[:len(p.Globals)]
 	m := &Machine{
-		program:    p,
-		san:        san,
-		space:      res.Space,
-		heap:       res.Heap,
-		globals:    res.Globals,
-		globalPtr:  res.globalPtr,
-		globalMeta: res.globalMeta,
-		opts:       opts,
+		program: p,
+		link:    p.Link(),
+		san:     san,
+		res:     res,
+		space:   res.Space,
+		heap:    res.Heap,
+		globals: res.Globals,
+		gptPtr:  res.gptPtr,
+		gptMeta: res.gptMeta,
+		opts:    opts,
 	}
 	m.rngState.Store(opts.Seed)
 	m.addrMask = ^uint64(0)
@@ -311,7 +314,7 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 		return nil, fmt.Errorf("interp: attach %s: %w", san.Runtime.Name(), err)
 	}
 
-	for _, g := range p.Globals {
+	for slot, g := range p.Globals {
 		defSize := g.Type.Size()
 		tracked := g.AddressTaken && san.Profile.TrackGlobals
 		if tracked && san.Profile.GlobalRedzone > 0 {
@@ -335,8 +338,8 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 			}
 		}
 		ptr, meta := san.Runtime.GlobalInit(g.Name, addr, g.Type.Size(), tracked)
-		m.globalPtr[g.Name] = ptr
-		m.globalMeta[g.Name] = meta
+		m.gptPtr[slot] = ptr
+		m.gptMeta[slot] = meta
 	}
 	return m, nil
 }
@@ -425,8 +428,8 @@ func updateMax(g *atomic.Int64, v int64) {
 // Run executes the program's entry function to completion or abort.
 func (m *Machine) Run() *Result {
 	res := &Result{}
-	entry, ok := m.program.Funcs[m.program.Entry]
-	if !ok {
+	entry := m.link.Entry
+	if entry < 0 {
 		res.Err = fmt.Errorf("interp: entry %q not found", m.program.Entry)
 		return res
 	}
@@ -435,8 +438,13 @@ func (m *Machine) Run() *Result {
 		res.Err = err
 		return res
 	}
-	th := &thread{m: m, stack: stack, budget: m.opts.MaxInstructions}
-	ret, _, ab := th.call(entry, nil, nil, 0)
+	th := &thread{
+		m: m, stack: stack, budget: m.opts.MaxInstructions,
+		regArena: m.res.regArena, metaArena: m.res.metaArena,
+	}
+	regs, metas := th.frame(m.link.Funcs[entry].Func.NumRegs)
+	ret, _, ab := th.call(entry, regs, metas, 0)
+	m.res.regArena, m.res.metaArena = th.regArena, th.metaArena
 	th.flushStats()
 	m.sampleRSS()
 

@@ -1,8 +1,8 @@
 package interp
 
 import (
-	"fmt"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -600,13 +600,14 @@ func TestNewOnResetReproducesFreshRun(t *testing.T) {
 	}
 }
 
-// TestPooledResourcesGlobalTableIsolation pins the map-pooling contract of
-// Resources: the Global Pointer Table maps live on the bundle and are
+// TestPooledResourcesGlobalTableIsolation pins the slot-pooling contract of
+// Resources: the Global Pointer Table slices live on the bundle and are
 // recycled across machines, so a machine built on freshly Reset resources
-// must see exactly its own program's globals — never stale entries from the
+// must see exactly its own program's globals — never stale slots from the
 // previous occupant.
 func TestPooledResourcesGlobalTableIsolation(t *testing.T) {
 	pb1 := prog.NewProgram()
+	pb1.GlobalInit("shared_name", prog.Int(), 10)
 	pb1.GlobalInit("only_in_p1", prog.Int(), 11)
 	f1 := pb1.Function("main", 0)
 	f1.Ret(f1.Load(f1.GlobalAddr("only_in_p1"), 0, prog.Int()))
@@ -634,17 +635,159 @@ func TestPooledResourcesGlobalTableIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewOn p2: %v", err)
 	}
-	if _, stale := m2.globalPtr["only_in_p1"]; stale {
-		t.Fatal("global table leaked an entry from the previous pooled machine")
+	fresh, err := New(p2, nosan.Sanitizer(), DefaultOptions())
+	if err != nil {
+		t.Fatalf("New p2: %v", err)
+	}
+	// p1's second slot ("only_in_p1") must not survive as a stale entry,
+	// and p2's single slot must hold p2's own pointer.
+	if len(m2.gptPtr) != len(p2.Globals) || len(m2.gptMeta) != len(p2.Globals) {
+		t.Fatalf("GPT has %d/%d slots, want %d: stale slot from the previous pooled machine",
+			len(m2.gptPtr), len(m2.gptMeta), len(p2.Globals))
+	}
+	if m2.gptPtr[0] != fresh.gptPtr[0] || m2.gptMeta[0] != fresh.gptMeta[0] {
+		t.Fatalf("pooled GPT slot 0 = %#x, fresh = %#x", m2.gptPtr[0], fresh.gptPtr[0])
 	}
 	if got := m2.Run(); got.Ret != 22 {
 		t.Fatalf("p2 Ret = %d, want 22", got.Ret)
 	}
 }
 
+// callHeavyProgram builds a program whose main makes calls calls to a
+// one-argument function that reads a global through the GPT.
+func callHeavyProgram(calls int) *prog.Program {
+	pb := prog.NewProgram()
+	pb.GlobalInit("step", prog.Int64T(), 3)
+	bump := pb.Function("bump", 1)
+	bump.Ret(bump.Add(bump.Arg(0), bump.Load(bump.GlobalAddr("step"), 0, prog.Int64T())))
+	f := pb.Function("main", 0)
+	acc := f.NewReg()
+	f.AssignConst(acc, 0)
+	f.ForRange(prog.ConstOperand(0), prog.ConstOperand(int64(calls)), 1, func(prog.Reg) {
+		f.Assign(acc, f.Call("bump", acc))
+	})
+	f.Ret(acc)
+	return pb.MustBuild()
+}
+
+// TestPooledRunAllocationsIndependentOfCalls pins the pre-resolved call
+// path: on a warmed pooled bundle a run's allocations are a fixed per-run
+// cost, so a program making 1,000 calls allocates exactly as much as one
+// making 10 — no per-call argument slices, no per-run register arena.
+func TestPooledRunAllocationsIndependentOfCalls(t *testing.T) {
+	allocs := func(calls int) float64 {
+		p := callHeavyProgram(calls)
+		res, err := NewResources(47)
+		if err != nil {
+			t.Fatalf("NewResources: %v", err)
+		}
+		opts := DefaultOptions()
+		run := func() {
+			m, err := NewOn(res, p, nosan.Sanitizer(), opts)
+			if err != nil {
+				t.Fatalf("NewOn: %v", err)
+			}
+			if got := m.Run(); !got.Ok() || got.Ret != uint64(3*calls) {
+				t.Fatalf("%d calls: Ret = %d (%+v), want %d", calls, got.Ret, got, 3*calls)
+			}
+			res.Reset()
+		}
+		run() // warm: link the program, grow the pooled arenas and GPT
+		return testing.AllocsPerRun(20, run)
+	}
+	few, many := allocs(10), allocs(1000)
+	if few != many {
+		t.Fatalf("allocs per pooled run: %v with 10 calls, %v with 1000 calls; want equal", few, many)
+	}
+}
+
+// verdict renders a result's outcome for equality checks.
+func verdict(r *Result) string {
+	return fmt.Sprintf("violation=%v fault=%v err=%v", r.Violation, r.Fault, r.Err)
+}
+
+// TestPooledRunMatchesFresh runs program A, then program B — a different
+// global set and different frame sizes — on the same reset bundle. B must
+// behave exactly as on fresh resources: the GPT slots, the recycled (and
+// grown, dirty) register arena and the lock-free RSS gauges may not leak
+// anything from A into B's return value, verdict or full Stats.
+func TestPooledRunMatchesFresh(t *testing.T) {
+	pa := prog.NewProgram()
+	for i := 0; i < 5; i++ {
+		pa.GlobalInit(fmt.Sprintf("a%d", i), prog.Int64T(), int64(100+i))
+	}
+	deep := pa.Function("deep", 1)
+	n := deep.Arg(0)
+	wide := deep.Const(0)
+	for k := 1; k <= 20; k++ { // a wide frame full of nonzero registers
+		wide = deep.Add(wide, deep.Const(int64(k)))
+	}
+	deep.If(deep.Cmp(prog.CmpEq, n, deep.Const(0)), func() {
+		deep.Ret(wide)
+	}, func() {
+		deep.Ret(deep.Add(wide, deep.Call("deep", deep.Sub(n, deep.Const(1)))))
+	})
+	fa := pa.Function("main", 0)
+	buf := fa.MallocBytes(256)
+	fa.Free(buf)
+	fa.Ret(fa.Add(fa.Call("deep", fa.Const(50)), fa.Load(fa.GlobalAddr("a3"), 0, prog.Int64T())))
+	progA := pa.MustBuild()
+
+	pb := prog.NewProgram()
+	pb.GlobalInit("b0", prog.Int64T(), 5)
+	pb.GlobalBytes("b1", []byte("fresh"))
+	leaf := pb.Function("leaf", 2)
+	unset := leaf.NewReg() // never written: reads the window's zero
+	sum := leaf.Add(leaf.Add(leaf.Arg(0), leaf.Arg(1)), unset)
+	leaf.Ret(leaf.Add(sum, leaf.Load(leaf.GlobalAddr("b0"), 0, prog.Int64T())))
+	fb := pb.Function("main", 0)
+	acc := fb.NewReg()
+	fb.AssignConst(acc, 0)
+	fb.ForRange(prog.ConstOperand(0), prog.ConstOperand(20), 1, func(i prog.Reg) {
+		fb.Assign(acc, fb.Call("leaf", acc, i))
+	})
+	heap := fb.MallocBytes(64)
+	fb.Store(heap, 0, fb.Load(fb.GlobalAddr("b1"), 0, prog.Char()), prog.Char())
+	fb.Free(heap)
+	fb.Ret(acc)
+	progB := pb.MustBuild()
+
+	opts := DefaultOptions()
+	freshM, err := New(progB, nosan.Sanitizer(), opts)
+	if err != nil {
+		t.Fatalf("New B: %v", err)
+	}
+	want := freshM.Run()
+	if !want.Ok() || want.Ret != 20*5+190 {
+		t.Fatalf("fresh B: Ret = %d (%+v), want %d", want.Ret, want, 20*5+190)
+	}
+
+	res, err := NewResources(opts.AddrBits)
+	if err != nil {
+		t.Fatalf("NewResources: %v", err)
+	}
+	ma, err := NewOn(res, progA, nosan.Sanitizer(), opts)
+	if err != nil {
+		t.Fatalf("NewOn A: %v", err)
+	}
+	if got := ma.Run(); !got.Ok() || got.Ret != 51*210+103 {
+		t.Fatalf("A: Ret = %d (%+v), want %d", got.Ret, got, 51*210+103)
+	}
+	res.Reset()
+	mb, err := NewOn(res, progB, nosan.Sanitizer(), opts)
+	if err != nil {
+		t.Fatalf("NewOn B: %v", err)
+	}
+	got := mb.Run()
+	if got.Ret != want.Ret || verdict(got) != verdict(want) || got.Stats != want.Stats {
+		t.Fatalf("pooled B diverged from fresh B:\n got Ret=%d %s %+v\nwant Ret=%d %s %+v",
+			got.Ret, verdict(got), got.Stats, want.Ret, verdict(want), want.Stats)
+	}
+}
+
 // BenchmarkNewOnPooled measures the pooled machine-construction path the
 // engine pays once per case: Reset plus NewOn on a recycled bundle, for a
-// program with a realistic global count. The global-map pooling keeps this
+// program with a realistic global count. The pooled GPT slices keep this
 // allocation-flat in the number of globals.
 func BenchmarkNewOnPooled(b *testing.B) {
 	pb := prog.NewProgram()
@@ -667,6 +810,30 @@ func BenchmarkNewOnPooled(b *testing.B) {
 			b.Fatalf("NewOn: %v", err)
 		}
 		_ = m
+		res.Reset()
+	}
+}
+
+// BenchmarkInterpCall measures interpreter dispatch on a call-heavy
+// program (1,000 calls, each reading a global through the GPT) on a pooled
+// bundle: NewOn, Run and Reset per iteration, as the engine runs a case.
+func BenchmarkInterpCall(b *testing.B) {
+	p := callHeavyProgram(1000)
+	res, err := NewResources(47)
+	if err != nil {
+		b.Fatalf("NewResources: %v", err)
+	}
+	opts := DefaultOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := NewOn(res, p, nosan.Sanitizer(), opts)
+		if err != nil {
+			b.Fatalf("NewOn: %v", err)
+		}
+		if got := m.Run(); !got.Ok() {
+			b.Fatalf("run failed: %+v", got)
+		}
 		res.Reset()
 	}
 }

@@ -45,11 +45,11 @@ type TraceRecord struct {
 	Index   uint64 `json:"index"`
 	// StartUS is the trace start relative to the recorder epoch. Wall-clock
 	// only — not part of any determinism contract.
-	StartUS      int64        `json:"start_us"`
-	Outcome      string       `json:"outcome"`
-	Attempts     int          `json:"attempts,omitempty"`
-	Retried      bool         `json:"retried,omitempty"`
-	DeadlineMiss bool         `json:"deadline_miss,omitempty"`
+	StartUS      int64  `json:"start_us"`
+	Outcome      string `json:"outcome"`
+	Attempts     int    `json:"attempts,omitempty"`
+	Retried      bool   `json:"retried,omitempty"`
+	DeadlineMiss bool   `json:"deadline_miss,omitempty"`
 	// Sampled marks a healthy trace kept by the 1-in-N sample rather than
 	// by the always-keep interest rules.
 	Sampled bool         `json:"sampled,omitempty"`

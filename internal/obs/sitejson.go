@@ -74,8 +74,8 @@ func LoadSitesFile(path string) ([]SiteStat, error) {
 // optimization emptied lead the table. The footer totals both profiles.
 func FormatSiteDiff(w io.Writer, baseline, current []SiteStat) {
 	type row struct {
-		key        SiteKey
-		base, cur  *SiteStat
+		key       SiteKey
+		base, cur *SiteStat
 	}
 	idx := make(map[SiteKey]*row, len(baseline)+len(current))
 	order := make([]*row, 0, len(baseline)+len(current))

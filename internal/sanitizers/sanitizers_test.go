@@ -12,9 +12,9 @@ import (
 type outcome int
 
 const (
-	clean outcome = iota // ran to completion, no report
-	report               // sanitizer violation
-	crash                // machine fault
+	clean  outcome = iota // ran to completion, no report
+	report                // sanitizer violation
+	crash                 // machine fault
 )
 
 // runUnder instruments and executes p under the named sanitizer.

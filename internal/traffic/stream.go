@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strconv"
 	"time"
 
 	"cecsan/internal/checkpoint"
@@ -64,7 +65,27 @@ type Stream struct {
 
 // hashState accumulates the canonical per-request records that define
 // stream identity (written by step).
-type hashState struct{ h hash.Hash }
+type hashState struct {
+	h   hash.Hash
+	rec []byte // record buffer, reused across requests
+}
+
+// record hashes one request's canonical record, the line
+// "count|class|arrival_ns|deadline_ns|tool|variant|seed|fingerprint\n"
+// with decimal integers and a lowercase-hex fingerprint.
+func (d *hashState) record(count int, class string, arrival, deadline time.Duration, tool string, vi int, seed uint64, fp prog.Fingerprint) {
+	b := strconv.AppendInt(d.rec[:0], int64(count), 10)
+	b = append(append(b, '|'), class...)
+	b = strconv.AppendInt(append(b, '|'), arrival.Nanoseconds(), 10)
+	b = strconv.AppendInt(append(b, '|'), deadline.Nanoseconds(), 10)
+	b = append(append(b, '|'), tool...)
+	b = strconv.AppendInt(append(b, '|'), int64(vi), 10)
+	b = strconv.AppendUint(append(b, '|'), seed, 10)
+	b = hex.AppendEncode(append(b, '|'), fp[:])
+	b = append(b, '\n')
+	d.h.Write(b)
+	d.rec = b
+}
 
 // clientState is one client's generator position in the merge.
 type clientState struct {
@@ -177,9 +198,7 @@ func (s *Stream) step() (cs *clientState, vi int, arrival time.Duration) {
 	v := cs.variants[vi]
 	arrival = cs.nextAt
 	deadline := time.Duration(cs.spec.DeadlineMS * float64(time.Millisecond))
-	fmt.Fprintf(s.digest.h, "%d|%s|%d|%d|%s|%d|%d|%s\n",
-		s.count, cs.spec.ID, arrival.Nanoseconds(), deadline.Nanoseconds(),
-		cs.spec.Tool, vi, v.Seed, v.Program.Fingerprint())
+	s.digest.record(s.count, cs.spec.ID, arrival, deadline, cs.spec.Tool, vi, v.Seed, v.Program.Fingerprint())
 	cs.nextAt += cs.arrivals.next()
 	s.count++
 	return cs, vi, arrival

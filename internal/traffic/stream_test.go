@@ -192,3 +192,31 @@ func TestVariantDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamDigestGolden pins the absolute stream digest of the shipped
+// interactive-batch spec at seed 42 over 2,000 requests — the stream_digest
+// `cmd/serve -seed 42 -max-requests 2000` reports — so any change to the
+// canonical request record (its fields or their encoding) is caught, not
+// just run-to-run drift.
+func TestStreamDigestGolden(t *testing.T) {
+	spec, err := Load("../../examples/workloads/interactive-batch.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStream(spec, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetLimit(2000)
+	n := 0
+	for s.Next() != nil {
+		n++
+	}
+	if n != 2000 {
+		t.Fatalf("stream yielded %d requests, want 2000", n)
+	}
+	const want = "e0f9dd39444f91366244dd70289d4497f2f00947d26a0c7ebd784b219367f36b"
+	if got := s.Digest(); got != want {
+		t.Fatalf("stream digest = %s, want %s", got, want)
+	}
+}

@@ -2,7 +2,7 @@ package prog
 
 import (
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"hash"
 	"hash/fnv"
 )
@@ -18,7 +18,7 @@ import (
 type Fingerprint [16]byte
 
 // String renders the fingerprint as hex.
-func (f Fingerprint) String() string { return fmt.Sprintf("%x", f[:]) }
+func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
 // fpWriter streams the program encoding into a hash. Every field is written
 // length- or tag-delimited so that adjacent variable-length fields cannot

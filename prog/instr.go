@@ -21,12 +21,12 @@ type Op uint8
 const (
 	OpInvalid Op = iota
 
-	OpConst // Dst = Imm
-	OpMov   // Dst = A
-	OpBin   // Dst = A <binop X> B
-	OpCmp   // Dst = (A <pred X> B) ? 1 : 0
-	OpBr    // pc = Imm
-	OpCondBr// if A != 0 { pc = Imm } else fall through
+	OpConst  // Dst = Imm
+	OpMov    // Dst = A
+	OpBin    // Dst = A <binop X> B
+	OpCmp    // Dst = (A <pred X> B) ? 1 : 0
+	OpBr     // pc = Imm
+	OpCondBr // if A != 0 { pc = Imm } else fall through
 
 	OpAlloca     // Dst = &stack object of Type (Size bytes)
 	OpMalloc     // Dst = malloc(A); if A == NoReg, malloc(Size)
@@ -56,10 +56,10 @@ const (
 	// Imm = start, Off = step*checkStep (the firing modulus), X = step,
 	// Size = element size in bytes, FlagWrite selects the access kind.
 	OpCheckPeriodic
-	OpSubPtr      // Dst = sanitizer-narrowed sub-object pointer of A at [Off, Off+Size)
-	OpSubRelease  // release sub-object metadata of A
-	OpStripPtr    // Dst = strip(A): remove tag bits
-	OpRetagPtr    // Dst = retag(A with tag of B)
+	OpSubPtr     // Dst = sanitizer-narrowed sub-object pointer of A at [Off, Off+Size)
+	OpSubRelease // release sub-object metadata of A
+	OpStripPtr   // Dst = strip(A): remove tag bits
+	OpRetagPtr   // Dst = retag(A with tag of B)
 
 	OpPtrMetaCopy  // per-pointer metadata: meta[Dst] = meta[A] (SoftBound)
 	OpPtrMetaLoad  // per-pointer metadata: meta[Dst] = shadow[A+Off] (after pointer load)
@@ -141,17 +141,17 @@ const (
 // opcode constants. Instr is a value type: programs are flat []Instr slices
 // for interpreter cache friendliness.
 type Instr struct {
-	Op   Op
-	X    uint8 // BinOp, CmpPred, or check-kind discriminator
-	Dst  Reg
-	A    Reg
-	B    Reg
-	Imm  int64
-	Off  int64
-	Size int64
-	Type *Type
-	Sym  string
-	Args []Reg
+	Op    Op
+	X     uint8 // BinOp, CmpPred, or check-kind discriminator
+	Dst   Reg
+	A     Reg
+	B     Reg
+	Imm   int64
+	Off   int64
+	Size  int64
+	Type  *Type
+	Sym   string
+	Args  []Reg
 	Flags Flag
 }
 
@@ -168,12 +168,12 @@ type Loop struct {
 	// conditional branch). BodyStart..BodyEnd is the body, excluding the
 	// induction-variable increment and back edge, which occupy
 	// BodyEnd..LatchEnd.
-	HeadStart, HeadEnd   int
-	BodyStart, BodyEnd   int
-	LatchEnd             int
-	IndVar               Reg
-	Start, Limit         Operand
-	Step                 int64
+	HeadStart, HeadEnd int
+	BodyStart, BodyEnd int
+	LatchEnd           int
+	IndVar             Reg
+	Start, Limit       Operand
+	Step               int64
 }
 
 // Operand is either a constant or a register, used in Loop facts.
@@ -258,6 +258,9 @@ type Program struct {
 	// every cache lookup; programs are immutable once built, so the hash is
 	// computed once. Clone deliberately leaves the copy's memo empty.
 	fp atomic.Pointer[Fingerprint]
+	// link memoizes Link on the same terms: computed once per program,
+	// left empty by Clone.
+	link atomic.Pointer[Link]
 }
 
 // Clone returns a deep copy of the program that instrumentation may rewrite
