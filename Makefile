@@ -44,6 +44,7 @@ obs-smoke:
 		-trace artifacts/trace-smoke.json -profile-checks -http 127.0.0.1:0
 	test -s artifacts/metrics-smoke.json
 	test -s artifacts/trace-smoke.json
+	grep -q '"name":"run"' artifacts/trace-smoke.json
 
 # The full local CI gate: static checks (gofmt-clean tree, vet), build, the
 # race-enabled unit suites, the fuzz smokes (clean + hardened +
@@ -208,7 +209,7 @@ trace-smoke:
 	rm -rf $(TSM) && mkdir -p $(TSM)
 	$(GO) build -o $(TSM)/serve ./cmd/serve
 	$(TSM)/serve $(TSM_SERVE) -workers 2 -flight $(TSM)/a.jsonl \
-		-flight-chrome $(TSM)/a-chrome.json
+		-trace $(TSM)/a-chrome.json
 	$(TSM)/serve $(TSM_SERVE) -workers 7 -flight $(TSM)/b.jsonl
 	grep -o '"trace_id":"[0-9a-f]*"' $(TSM)/a.jsonl | sort > $(TSM)/a.ids
 	grep -o '"trace_id":"[0-9a-f]*"' $(TSM)/b.jsonl | sort > $(TSM)/b.ids

@@ -209,6 +209,7 @@ func run() error {
 		fmt.Printf("temporal          gen-wraps %d  index-spills %d  quarantine evict %d / flush %d / held %d bytes\n",
 			ts.GenerationWraps, ts.IndexSpills, ts.QuarantineEvictions, ts.QuarantineFlushes, ts.QuarantinedBytes)
 	}
+	m.Release()
 	if *profileDiff != "" && o != nil && o.Sites != nil {
 		baseline, err := obs.LoadSitesFile(*profileDiff)
 		if err != nil {

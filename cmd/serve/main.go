@@ -17,8 +17,8 @@
 //	      [-overload] [-overload-multiples 1,2,4] [-overload-requests N]
 //	      [-checkpoint s.ckpt] [-checkpoint-every N] [-resume s.ckpt]
 //	      [-supervise] [-max-restarts N]
-//	      [-flight f.jsonl] [-flight-chrome f.json]
-//	      [-flight-budget N] [-flight-sample N] [-slo-exit]
+//	      [-flight f.jsonl] [-flight-budget N] [-flight-sample N]
+//	      [-slo-exit]
 //	      [-json BENCH_serve.json] [-progress]
 //	      [-metrics-json m.json] [-trace t.json] [-http 127.0.0.1:0]
 //
@@ -67,9 +67,10 @@
 // are byte-identical across worker counts), and the recorder retains all
 // faulted/retried/shed/rejected traces plus a deterministic 1-in-N
 // healthy sample (-flight-sample) inside a fixed budget (-flight-budget).
-// Retained traces are written as JSON lines to the -flight path;
-// -flight-chrome additionally writes the Chrome trace_event view
-// (load it in chrome://tracing or Perfetto).
+// Retained traces are written as JSON lines to the -flight path. -trace
+// arms the same recorder and writes its Chrome trace_event view (load it
+// in chrome://tracing or Perfetto): each request's lifecycle events with
+// the engine's instrument/run/reset spans nested in its execute span.
 //
 // -slo-exit gates the exit status on the spec's slo: declarations: any
 // class with its error budget exhausted or its p99 objective violated
@@ -161,7 +162,6 @@ func run() (int, error) {
 	maxRestarts := flag.Int("max-restarts", 5, "restart budget for -supervise before giving up")
 	crashAfter := flag.Int("crash-after", 0, "kill -9 this process after N processed requests this incarnation (crash-injection testing; 0 = off)")
 	flightPath := flag.String("flight", "", "arm the flight recorder and write retained traces as JSON lines to this path")
-	flightChrome := flag.String("flight-chrome", "", "also write retained traces in Chrome trace_event format to this path (implies the recorder)")
 	flightBudget := flag.Int("flight-budget", obs.DefaultFlightBudget, "flight recorder trace budget")
 	flightSample := flag.Int("flight-sample", obs.DefaultFlightSampleN, "keep 1 in N healthy traces (deterministic, keyed on trace ID)")
 	sloExit := flag.Bool("slo-exit", false, "exit 1 if any class's SLO budget is exhausted or p99 objective violated")
@@ -188,7 +188,7 @@ func run() (int, error) {
 	}
 
 	var flight *obs.FlightRecorder
-	if *flightPath != "" || *flightChrome != "" {
+	if *flightPath != "" || obsFlags.TracePath != "" {
 		flight = obs.NewFlightRecorder(obs.FlightConfig{
 			Budget:  *flightBudget,
 			SampleN: *flightSample,
@@ -210,6 +210,10 @@ func run() (int, error) {
 	observer, srv, err := obsFlags.Build()
 	if err != nil {
 		return exitInternal, err
+	}
+	if observer != nil {
+		// One recorder: -trace exports the traces -flight retains.
+		observer.Flight = flight
 	}
 
 	if *overload {
@@ -338,11 +342,6 @@ func run() (int, error) {
 		}
 		if *flightPath != "" {
 			if werr := cliutil.WriteAtomic(*flightPath, flight.WriteJSONLines); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		if *flightChrome != "" {
-			if werr := cliutil.WriteAtomic(*flightChrome, flight.WriteChromeTrace); werr != nil && err == nil {
 				err = werr
 			}
 		}

@@ -96,7 +96,8 @@ func WriteJSON(path string, v any) error {
 type ObsFlags struct {
 	// MetricsJSON is -metrics-json: path for the final registry snapshot.
 	MetricsJSON string
-	// TracePath is -trace: path for the Chrome trace_event export.
+	// TracePath is -trace: path for the Chrome trace_event view of the
+	// flight recorder's request traces.
 	TracePath string
 	// HTTPAddr is -http: listen address for the live introspection endpoint
 	// (":0" picks a free port; the bound address is printed to stderr).
@@ -116,7 +117,7 @@ type ObsFlags struct {
 func RegisterObsFlags(fs *flag.FlagSet) *ObsFlags {
 	f := &ObsFlags{}
 	fs.StringVar(&f.MetricsJSON, "metrics-json", "", "write final metrics registry snapshot to this path")
-	fs.StringVar(&f.TracePath, "trace", "", "write Chrome trace_event JSON (instrument/execute/reset spans) to this path")
+	fs.StringVar(&f.TracePath, "trace", "", "write the request traces (instrument/run/reset spans) as Chrome trace_event JSON to this path")
 	fs.StringVar(&f.HTTPAddr, "http", "", "serve live metric snapshots + pprof on this address (e.g. 127.0.0.1:0)")
 	fs.BoolVar(&f.ProfileChecks, "profile-checks", false, "profile executed checks per (sanitizer, site); print the hottest sites at exit")
 	fs.IntVar(&f.ProfileTop, "profile-top", 10, "rows in the -profile-checks table (0 = all)")
@@ -143,7 +144,8 @@ func (f *ObsFlags) Build() (*obs.Observer, *obs.Server, error) {
 	}
 	o := obs.New()
 	if f.TracePath != "" {
-		o.Tracer = obs.NewTracer()
+		// Keep every healthy run up to the default budget.
+		o.Flight = obs.NewFlightRecorder(obs.FlightConfig{SampleN: 1})
 	}
 	if f.ProfileChecks || f.ProfileJSON != "" {
 		o.Sites = obs.NewSiteProfiler()
@@ -174,8 +176,8 @@ func (f *ObsFlags) Finish(o *obs.Observer, srv *obs.Server, totalChecks int64) e
 			firstErr = err
 		}
 	}
-	if f.TracePath != "" && o.Tracer != nil {
-		if err := writeTo(f.TracePath, o.Tracer.WriteJSON); err != nil && firstErr == nil {
+	if f.TracePath != "" && o.Flight != nil {
+		if err := writeTo(f.TracePath, o.Flight.WriteChromeTrace); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -223,7 +223,7 @@ func TestObsFlagsBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o == nil || o.Tracer == nil || o.Sites == nil || srv != nil {
+	if o == nil || o.Flight == nil || o.Sites == nil || srv != nil {
 		t.Fatalf("Build() = %+v, srv=%v", o, srv)
 	}
 	if err := f.Finish(o, srv, 0); err != nil {

@@ -40,6 +40,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -104,9 +105,10 @@ type Options struct {
 	// ProgressEvery is the progress callback stride (<= 0 = 100).
 	ProgressEvery int
 	// Obs, when set, attaches the observability layer: engine counters are
-	// mirrored as registry gauges, pipeline phases (instrument/execute/reset)
-	// are recorded as tracer spans when Obs.Tracer is set, and executed
-	// checks are attributed to their static sites when Obs.Sites is set.
+	// mirrored as registry gauges, each execution's instrument/run/reset
+	// phases are recorded as a request trace into Obs.Flight when set, and
+	// executed checks are attributed to their static sites when Obs.Sites
+	// is set.
 	// Observability only reads execution state — results are identical with
 	// or without it.
 	Obs *obs.Observer
@@ -167,6 +169,11 @@ type Engine struct {
 	// set; all nil otherwise so the hot path stays a pair of nil checks.
 	runDurUS  *obs.Histogram // per-run execute wall time, microseconds
 	runChecks *obs.Histogram // per-run executed check count
+
+	// flight receives engine-owned traces (Obs.Flight); traceSeed derives
+	// their IDs from the tool name.
+	flight    *obs.FlightRecorder
+	traceSeed uint64
 }
 
 // New builds an engine for the named sanitizer. Only the instrumentation
@@ -221,6 +228,11 @@ func New(tool sanitizers.Name, opts Options) (*Engine, error) {
 // an engine for the same tool simply re-points the series at the new engine
 // (GaugeFunc replaces the callback).
 func (e *Engine) initObs(o *obs.Observer) {
+	if o.Flight != nil {
+		h := fnv.New64a()
+		h.Write([]byte(e.tool))
+		e.flight, e.traceSeed = o.Flight, h.Sum64()
+	}
 	r := o.Registry
 	tl := obs.L("tool", string(e.tool))
 	for _, g := range []struct {
@@ -347,20 +359,14 @@ func (e *Engine) instrument(p *prog.Program, prefill bool) *prog.Program {
 	return ent.p
 }
 
-// apply runs the instrumentation pass, recording time and tracer spans.
+// apply runs the instrumentation pass, recording its time.
 func (e *Engine) apply(p *prog.Program) *prog.Program {
 	start := time.Now()
 	ip := instrument.Apply(p, e.profile)
 	if !e.opts.DisableFusion {
 		instrument.Fuse(ip)
 	}
-	dur := time.Since(start)
-	e.instrumentNS.Add(dur.Nanoseconds())
-	if t := e.tracer(); t != nil {
-		lane := t.AcquireLane()
-		t.Record("instrument "+string(e.tool), lane, start, dur)
-		t.ReleaseLane(lane)
-	}
+	e.instrumentNS.Add(time.Since(start).Nanoseconds())
 	return ip
 }
 
@@ -415,16 +421,41 @@ type Machine struct {
 	faulted  bool                  // a panic unwound through this machine
 	released bool
 
-	lane    int // tracer lane held from Run until Release
-	hasLane bool
+	tr       *obs.RequestTrace // receives instrument/run/reset spans; nil when untraced
+	ownTrace bool              // tr was started by NewMachine: Release finishes it
+	result   *interp.Result    // the traced Run's result, for the trace outcome
 }
 
-// tracer returns the attached span recorder, nil when tracing is off.
-func (e *Engine) tracer() *obs.Tracer {
-	if e.opts.Obs == nil {
+// startTrace begins an engine-owned trace for one execution of p when a
+// flight recorder is armed; nil otherwise. The ID is a pure function of
+// (tool, program fingerprint), so the retained ID set does not depend on
+// scheduling; the class is the tool name.
+func (e *Engine) startTrace(p *prog.Program) *obs.RequestTrace {
+	if e.flight == nil {
 		return nil
 	}
-	return e.opts.Obs.Tracer
+	fp := p.Fingerprint()
+	idx := binary.LittleEndian.Uint64(fp[:8])
+	return &obs.RequestTrace{
+		ID:    obs.DeriveTraceID(e.traceSeed, idx),
+		Class: string(e.tool),
+		Index: idx,
+		Start: time.Now(),
+	}
+}
+
+// finishTrace hands an engine-owned trace to the recorder with the outcome
+// of the execution's final result (nil when the machine never ran).
+func (e *Engine) finishTrace(tr *obs.RequestTrace, res *interp.Result) {
+	outcome := obs.OutcomeClean
+	switch {
+	case res == nil:
+	case res.Err != nil:
+		outcome = obs.OutcomeFault
+	case res.Violation != nil:
+		outcome = obs.OutcomeDetected
+	}
+	e.flight.Finish(tr, outcome)
 }
 
 // planFor resolves the fault-injection plan for one program: the explicit
@@ -443,9 +474,16 @@ func (e *Engine) planFor(p *prog.Program) faultinject.Plan {
 
 // NewMachine instruments p (cached) and prepares a machine on a fresh
 // sanitizer runtime. Call Release when done with it so pooled resources
-// return to the pool; forgetting Release only costs pool misses.
+// return to the pool and, with a flight recorder armed, the machine's trace
+// is recorded; forgetting Release costs pool misses and the trace.
 func (e *Engine) NewMachine(p *prog.Program) (*Machine, error) {
-	return e.newMachine(p, machineConfig{fresh: e.opts.FreshRuntime})
+	tr := e.startTrace(p)
+	m, err := e.newMachine(p, machineConfig{fresh: e.opts.FreshRuntime, trace: tr})
+	if err != nil {
+		return nil, err
+	}
+	m.ownTrace = tr != nil
+	return m, nil
 }
 
 // machineConfig is the full construction policy for one machine. The zero
@@ -461,10 +499,16 @@ type machineConfig struct {
 	// bypassCache instruments inline without consulting the cache, modelling
 	// a cache-fill failure.
 	bypassCache bool
+	// trace, when set, receives the machine's instrument/run/reset spans.
+	trace *obs.RequestTrace
 }
 
 // newMachine builds a machine under an explicit construction policy.
 func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error) {
+	var t0 time.Time
+	if mc.trace != nil {
+		t0 = time.Now()
+	}
 	fresh := mc.fresh
 	var ip *prog.Program
 	if mc.bypassCache {
@@ -501,7 +545,7 @@ func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error)
 		}
 		recycled = sanPooled || resPooled
 	}
-	m := &Machine{eng: e, san: san, res: res, fresh: fresh, recycled: recycled}
+	m := &Machine{eng: e, san: san, res: res, fresh: fresh, recycled: recycled, tr: mc.trace}
 	plan := e.planFor(p)
 	if mc.plan != nil {
 		plan = *mc.plan
@@ -526,6 +570,11 @@ func (e *Engine) newMachine(p *prog.Program, mc machineConfig) (*Machine, error)
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	m.inner = inner
+	if m.tr != nil {
+		// Construction is where instrumentation happens (cached or fresh),
+		// so the span covers the whole lookup-or-instrument phase.
+		m.tr.Span("instrument", t0, time.Since(t0))
+	}
 	return m, nil
 }
 
@@ -544,10 +593,6 @@ func (m *Machine) Run() *interp.Result {
 		m.res.Heap.SetFaultHook(m.inj.OnMalloc)
 		m.res.Space.SetFaultHook(m.inj.OnPageMap)
 	}
-	t := e.tracer()
-	if t != nil {
-		m.lane, m.hasLane = t.AcquireLane(), true
-	}
 	start := time.Now()
 	e.noteStart(start)
 	res := m.runGuarded()
@@ -556,8 +601,9 @@ func (m *Machine) Run() *interp.Result {
 	e.executeNS.Add(dur.Nanoseconds())
 	e.noteEnd(end)
 	e.runs.Add(1)
-	if t != nil {
-		t.Record("execute "+string(e.tool), m.lane, start, dur)
+	if m.tr != nil {
+		m.tr.Span("run", start, dur)
+		m.result = res
 	}
 	if e.runDurUS != nil {
 		e.runDurUS.Observe(dur.Microseconds())
@@ -647,11 +693,12 @@ func (m *Machine) Output() []string { return m.inner.Output() }
 func (m *Machine) Runtime() rt.Runtime { return m.san.Runtime }
 
 // Release recycles the machine's resources — and, for resettable runtimes,
-// its sanitizer — into the engine pools. The machine must not Run, touch
-// simulated memory, or inspect its Runtime afterwards; Output and the last
-// Result remain valid. Release is idempotent and a no-op in FreshRuntime
-// mode. Fault isolation: a machine through which a panic unwound may hold a
-// runtime with a poisoned lock or half-updated metadata, so its runtime and
+// its sanitizer — into the engine pools, and closes the machine's trace
+// with a reset span. The machine must not Run, touch simulated memory, or
+// inspect its Runtime afterwards; Output and the last Result remain valid.
+// Release is idempotent, and pooling is a no-op in FreshRuntime mode. Fault
+// isolation: a machine through which a panic unwound may hold a runtime
+// with a poisoned lock or half-updated metadata, so its runtime and
 // resources are dropped for the GC instead of pooled.
 func (m *Machine) Release() {
 	if m.released || m.res == nil {
@@ -660,21 +707,20 @@ func (m *Machine) Release() {
 	m.released = true
 	res := m.res
 	m.res = nil
-	t := m.eng.tracer()
-	if m.hasLane {
-		defer t.ReleaseLane(m.lane)
+	var start time.Time
+	if m.tr != nil {
+		start = time.Now()
 	}
-	if m.fresh || m.faulted {
-		return
-	}
-	if t != nil && m.hasLane {
-		start := time.Now()
+	if !m.fresh && !m.faulted {
 		m.eng.release(res) // Reset also clears any fault hooks
-		t.Record("reset "+string(m.eng.tool), m.lane, start, time.Since(start))
-	} else {
-		m.eng.release(res)
+		m.eng.releaseSanitizer(m.san)
 	}
-	m.eng.releaseSanitizer(m.san)
+	if m.tr != nil {
+		m.tr.Span("reset", start, time.Since(start))
+		if m.ownTrace {
+			m.eng.finishTrace(m.tr, m.result)
+		}
+	}
 }
 
 // Run is the one-shot convenience: instrument (cached), execute on pooled
@@ -689,7 +735,7 @@ func (m *Machine) Release() {
 // Stats. Budget faults skip the retry — their triggers cannot depend on pool
 // state.
 func (e *Engine) Run(p *prog.Program, inputs ...[]byte) (*interp.Result, error) {
-	return e.run(p, machineConfig{fresh: e.opts.FreshRuntime}, nil, true, inputs)
+	return e.run(p, machineConfig{fresh: e.opts.FreshRuntime}, true, inputs)
 }
 
 // PlannedRun configures one RunPlanned execution.
@@ -702,8 +748,9 @@ type PlannedRun struct {
 	// cache-fill-failure chaos mode. The inline result is not cached.
 	BypassCache bool
 	// Trace, when set, receives instrument/run/reset sub-spans for this
-	// execution — the request-lifecycle tracing of the serving layer. Nil
-	// keeps the path branch-only.
+	// execution — the request-lifecycle tracing of the serving layer. The
+	// caller owns it: the engine adds spans but never finishes it. Nil
+	// leaves tracing to the engine (its own trace when Obs.Flight is set).
 	Trace *obs.RequestTrace
 }
 
@@ -715,15 +762,26 @@ type PlannedRun struct {
 // policy themselves, and a retry under the same plan would just reproduce
 // the injection. Panicked machines are still dropped from the pools.
 func (e *Engine) RunPlanned(p *prog.Program, pr PlannedRun, inputs ...[]byte) (*interp.Result, error) {
-	mc := machineConfig{fresh: e.opts.FreshRuntime, plan: &pr.Plan, bypassCache: pr.BypassCache}
-	return e.run(p, mc, pr.Trace, pr.Plan.Zero() && !pr.BypassCache, inputs)
+	mc := machineConfig{fresh: e.opts.FreshRuntime, plan: &pr.Plan, bypassCache: pr.BypassCache, trace: pr.Trace}
+	return e.run(p, mc, pr.Plan.Zero() && !pr.BypassCache, inputs)
 }
 
 // run is the one execution body behind Run and RunPlanned: build the
 // machine, feed, run, release, and — when retry is set — repeat once on a
-// fresh machine after a panic on recycled state.
-func (e *Engine) run(p *prog.Program, mc machineConfig, tr *obs.RequestTrace, retry bool, inputs [][]byte) (*interp.Result, error) {
-	res, recycled, err := e.runOnce(p, mc, tr, inputs)
+// fresh machine after a panic on recycled state. Without a caller trace and
+// with a recorder armed, the execution gets one engine-owned trace, retry
+// included, recorded once the final result is known.
+func (e *Engine) run(p *prog.Program, mc machineConfig, retry bool, inputs [][]byte) (res *interp.Result, err error) {
+	if mc.trace == nil && e.flight != nil {
+		tr := e.startTrace(p)
+		mc.trace = tr
+		defer func() {
+			if err == nil {
+				e.finishTrace(tr, res)
+			}
+		}()
+	}
+	res, recycled, err := e.runOnce(p, mc, inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -733,7 +791,7 @@ func (e *Engine) run(p *prog.Program, mc machineConfig, tr *obs.RequestTrace, re
 	}
 	e.faultRetries.Add(1)
 	mc.fresh = true
-	res2, _, err := e.runOnce(p, mc, tr, inputs)
+	res2, _, err := e.runOnce(p, mc, inputs)
 	if err != nil {
 		return res, nil // cannot retry; keep the unattributed fault
 	}
@@ -749,35 +807,15 @@ func (e *Engine) run(p *prog.Program, mc machineConfig, tr *obs.RequestTrace, re
 }
 
 // runOnce is one instrument→feed→run→release pass. It reports whether the
-// machine ran on recycled state. A non-nil tr receives instrument, run and
-// reset spans.
-func (e *Engine) runOnce(p *prog.Program, mc machineConfig, tr *obs.RequestTrace, inputs [][]byte) (*interp.Result, bool, error) {
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+// machine ran on recycled state.
+func (e *Engine) runOnce(p *prog.Program, mc machineConfig, inputs [][]byte) (*interp.Result, bool, error) {
 	m, err := e.newMachine(p, mc)
-	if tr != nil {
-		// Machine construction is where instrumentation happens (cached or
-		// fresh), so the span covers the whole lookup-or-instrument phase.
-		tr.Span("instrument", t0, time.Since(t0))
-	}
 	if err != nil {
 		return nil, false, err
 	}
 	m.Feed(inputs...)
-	if tr != nil {
-		t0 = time.Now()
-	}
 	res := m.Run()
-	if tr != nil {
-		tr.Span("run", t0, time.Since(t0))
-		t0 = time.Now()
-	}
 	m.Release()
-	if tr != nil {
-		tr.Span("reset", t0, time.Since(t0))
-	}
 	return res, m.recycled, nil
 }
 

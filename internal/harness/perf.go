@@ -60,6 +60,7 @@ func measure(eng *engine.Engine, w specsim.Workload, reps int) (measurement, err
 		start := time.Now()
 		res := m.Run()
 		dur := time.Since(start).Seconds()
+		m.Release()
 		if res.Violation != nil {
 			return measurement{}, fmt.Errorf("harness: %s under %s reported: %v", w.Name, eng.Tool(), res.Violation)
 		}

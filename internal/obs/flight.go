@@ -249,8 +249,11 @@ func (f *FlightRecorder) WriteJSONLines(w io.Writer) error {
 }
 
 // WriteChromeTrace writes the retained records in the Chrome trace_event
-// format (chrome://tracing, Perfetto). Each class renders as one tid row;
-// timed events become complete ("X") slices, instants become "i" marks.
+// format (chrome://tracing, Perfetto). Rows ("tid"s) are assigned here, at
+// export time: taken in (StartUS, Index) order, each record occupies the
+// lowest row that is free at its start, so overlapping records render on
+// distinct rows and the chart is as tall as the peak concurrency. Timed
+// events become complete ("X") slices, instants become "i" marks.
 func (f *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 	type chromeEvent struct {
 		Name  string         `json:"name"`
@@ -262,21 +265,35 @@ func (f *FlightRecorder) WriteChromeTrace(w io.Writer) error {
 		Scope string         `json:"s,omitempty"`
 		Args  map[string]any `json:"args,omitempty"`
 	}
-	tids := map[string]int{}
-	var events []chromeEvent
-	for _, r := range f.Records() {
-		tid, ok := tids[r.Class]
-		if !ok {
-			tid = len(tids) + 1
-			tids[r.Class] = tid
+	recs := f.Records()
+	sort.SliceStable(recs, func(i, j int) bool {
+		if recs[i].StartUS != recs[j].StartUS {
+			return recs[i].StartUS < recs[j].StartUS
 		}
+		return recs[i].Index < recs[j].Index
+	})
+	var rowEnd []int64 // end of the latest record on each row
+	var events []chromeEvent
+	for _, r := range recs {
+		end := r.StartUS
+		for _, ev := range r.Events {
+			end = max(end, r.StartUS+ev.AtUS+ev.DurUS)
+		}
+		row := 0
+		for row < len(rowEnd) && rowEnd[row] > r.StartUS {
+			row++
+		}
+		if row == len(rowEnd) {
+			rowEnd = append(rowEnd, 0)
+		}
+		rowEnd[row] = end
 		args := map[string]any{"trace_id": r.TraceID, "outcome": r.Outcome}
 		for _, ev := range r.Events {
 			ce := chromeEvent{
 				Name: ev.Kind,
 				TS:   r.StartUS + ev.AtUS,
 				PID:  1,
-				TID:  tid,
+				TID:  row + 1,
 				Args: args,
 			}
 			if ev.DurUS > 0 {

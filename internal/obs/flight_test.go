@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestDeriveTraceIDDeterministic(t *testing.T) {
@@ -176,32 +177,131 @@ func TestFlightWriteJSONLines(t *testing.T) {
 	}
 }
 
+// TestDeriveTraceIDVectors pins two IDs computed with the original inline
+// finalizer, so every serve trace ID provably stays put.
+func TestDeriveTraceIDVectors(t *testing.T) {
+	for _, c := range []struct {
+		seed, index uint64
+		want        TraceID
+	}{{42, 0, 0xbdd732262feb6e95}, {5, 3, 0x196e4ec2da05b945}} {
+		if got := DeriveTraceID(c.seed, c.index); got != c.want {
+			t.Fatalf("DeriveTraceID(%d, %d) = %s, want %s", c.seed, c.index, got, c.want)
+		}
+	}
+}
+
+// chromeEvent is the decoded subset of a Chrome trace_event the tests read.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	TS   int64          `json:"ts"`
+	Dur  int64          `json:"dur"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// chromeEvents exports f and decodes the trace_event list.
+func chromeEvents(t *testing.T, f *FlightRecorder) []chromeEvent {
+	t.Helper()
+	var b strings.Builder
+	if err := f.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
+		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, b.String())
+	}
+	return doc.TraceEvents
+}
+
 func TestFlightWriteChromeTrace(t *testing.T) {
 	f := NewFlightRecorder(FlightConfig{Budget: 16, SampleN: 1 << 20})
 	finish(f, 5, 3, OutcomeFault, func(tr *RequestTrace) {
 		ev := tr.Add("run")
 		ev.DurUS = 12
 	})
-	var b strings.Builder
-	if err := f.WriteChromeTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v\n%s", err, b.String())
-	}
 	var haveSpan, haveInstant bool
-	for _, ev := range doc.TraceEvents {
-		switch ev["ph"] {
-		case "X":
+	for _, ev := range chromeEvents(t, f) {
+		switch {
+		case ev.Name == "run" && ev.Ph == "X":
 			haveSpan = true
-		case "i":
+		case ev.Name == OutcomeFault && ev.Ph == "i":
 			haveInstant = true
 		}
 	}
 	if !haveSpan || !haveInstant {
-		t.Fatalf("chrome trace must mix complete (X) and instant (i) events:\n%s", b.String())
+		t.Fatal("spans must export as complete (X) events and instants as instant (i) marks")
+	}
+}
+
+// rowRecords fills a recorder with three one-span records: 0 at [100, 150),
+// 1 at [120, 170) overlapping it, and 2 at [160, 170) after 0 has ended.
+func rowRecords() *FlightRecorder {
+	f := NewFlightRecorder(FlightConfig{SampleN: 1})
+	record := func(idx uint64, startUS, runUS int64) {
+		tr := &RequestTrace{ID: DeriveTraceID(9, idx), Class: "c", Index: idx,
+			Start: f.epoch.Add(time.Duration(startUS) * time.Microsecond)}
+		tr.Events = append(tr.Events, TraceEvent{Kind: "run", DurUS: runUS})
+		f.Finish(tr, OutcomeClean)
+	}
+	record(0, 100, 50)
+	record(1, 120, 50)
+	record(2, 160, 10)
+	return f
+}
+
+// TestTracerLanes pins the export-time row assignment: overlapping records
+// take distinct rows, and a later record reuses the lowest free row.
+func TestTracerLanes(t *testing.T) {
+	tids := map[string]int{}
+	for _, ev := range chromeEvents(t, rowRecords()) {
+		if ev.Name == "run" {
+			tids[ev.Args["trace_id"].(string)] = ev.TID
+		}
+	}
+	a, b, c := tids[DeriveTraceID(9, 0).String()], tids[DeriveTraceID(9, 1).String()], tids[DeriveTraceID(9, 2).String()]
+	if a == b {
+		t.Fatalf("overlapping records share row %d", a)
+	}
+	if c != a || a > b {
+		t.Fatalf("rows %d, %d, %d: the later record must reuse the lowest free row", a, b, c)
+	}
+}
+
+// TestTraceExport pins what each exported span keeps: the X phase, its
+// timing, and its record's trace_id/outcome.
+func TestTraceExport(t *testing.T) {
+	seen := 0
+	for _, ev := range chromeEvents(t, rowRecords()) {
+		if ev.Name != "run" {
+			continue
+		}
+		seen++
+		if ev.Ph != "X" {
+			t.Fatalf("span exported as %q, want X", ev.Ph)
+		}
+		id := ev.Args["trace_id"].(string)
+		if ev.Args["outcome"] != OutcomeClean {
+			t.Fatalf("event args %v lost the outcome", ev.Args)
+		}
+		var want struct{ ts, dur int64 }
+		switch id {
+		case DeriveTraceID(9, 0).String():
+			want.ts, want.dur = 100, 50
+		case DeriveTraceID(9, 1).String():
+			want.ts, want.dur = 120, 50
+		case DeriveTraceID(9, 2).String():
+			want.ts, want.dur = 160, 10
+		default:
+			t.Fatalf("unexpected trace_id %q", id)
+		}
+		if ev.TS != want.ts || ev.Dur != want.dur {
+			t.Fatalf("trace %s: ts/dur = %d/%d, want %d/%d", id, ev.TS, ev.Dur, want.ts, want.dur)
+		}
+	}
+	if seen != 3 {
+		t.Fatalf("run spans = %d, want 3", seen)
 	}
 }

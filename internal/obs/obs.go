@@ -1,33 +1,35 @@
 // Package obs is the repository's unified observability layer: a metrics
 // registry (counters, gauges, log-bucketed histograms) with lock-free
 // hot-path recording and JSON + Prometheus-text exposition, a check-site
-// profiler attributing executed sanitizer checks to their static sites, a
-// Chrome trace_event span recorder for flame-chart inspection of the engine
-// pipeline, and a live HTTP introspection endpoint (metric snapshots plus
-// net/http/pprof) for watching long-running campaigns without stopping them.
+// profiler attributing executed sanitizer checks to their static sites,
+// request traces with a tail-sampling flight recorder — the one trace sink,
+// exported as JSON lines or as a Chrome trace_event flame chart — and a live
+// HTTP introspection endpoint (metric snapshots plus net/http/pprof) for
+// watching long-running campaigns without stopping them.
 //
-// The package is dependency-free within the repository: everything else
-// (engine, interp, harness, fuzz, cliutil, the cmd/ tools) imports obs,
-// never the reverse. Observability is strictly off the report path — the
-// layer only ever *reads* execution state, so differential fuzz reports and
-// the Table II output are byte-identical whether an Observer is attached or
-// not (pinned by TestFuzzReportByteIdentity / TestTable2ByteIdentity).
+// Within the repository the package imports only the leaf internal/splitmix:
+// everything else (engine, interp, harness, fuzz, cliutil, the cmd/ tools)
+// imports obs, never the reverse. Observability is strictly off the report
+// path — the layer only ever *reads* execution state, so differential fuzz
+// reports and the Table II output are byte-identical whether an Observer is
+// attached or not (pinned by TestFuzzReportByteIdentity /
+// TestTable2ByteIdentity).
 package obs
 
 import "sync/atomic"
 
 // Observer bundles the observability facilities a consumer can attach to
-// the execution pipeline. Registry and Health are always present; Tracer
+// the execution pipeline. Registry and Health are always present; Flight
 // and Sites are nil unless the corresponding flag (-trace, -profile-checks)
-// enabled them, so their costs — span recording, per-check timing — are
+// enabled them, so their costs — trace recording, per-check timing — are
 // strictly opt-in.
 type Observer struct {
 	// Registry holds the metric instruments. Never nil on an Observer built
 	// with New.
 	Registry *Registry
-	// Tracer records engine pipeline spans (instrument/execute/reset) for
-	// Chrome trace_event export; nil disables span recording.
-	Tracer *Tracer
+	// Flight receives the request traces carrying the engine's
+	// instrument/run/reset spans; nil disables trace recording.
+	Flight *FlightRecorder
 	// Sites profiles executed checks per (sanitizer, check site); nil
 	// disables the per-check timing instrumentation.
 	Sites *SiteProfiler
@@ -40,9 +42,9 @@ type Observer struct {
 	SLO *SLO
 }
 
-// New returns an Observer with a fresh Registry and Health, no tracer or
-// site profiler. Callers enable those by assigning NewTracer /
-// NewSiteProfiler.
+// New returns an Observer with a fresh Registry and Health, no flight
+// recorder or site profiler. Callers enable those by assigning
+// NewFlightRecorder / NewSiteProfiler.
 func New() *Observer {
 	return &Observer{Registry: NewRegistry(), Health: &Health{}}
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"time"
+
+	"cecsan/internal/splitmix"
 )
 
 // TraceID identifies one request's lifecycle trace. IDs derive
@@ -14,17 +16,11 @@ type TraceID uint64
 // String renders the ID as fixed-width hex, the form exported records use.
 func (id TraceID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
 
-// DeriveTraceID maps (seed, stream index) to a TraceID with a splitmix64
-// finalizer — the same construction the traffic layer uses for its seed
-// tree, reimplemented here so obs stays dependency-free in-repo.
+// DeriveTraceID maps (seed, stream index) to a TraceID: the SplitMix64
+// draw at position index of the stream seeded with seed, the same
+// construction the traffic layer uses for its seed tree.
 func DeriveTraceID(seed, index uint64) TraceID {
-	z := seed + 0x9e3779b97f4a7c15*(index+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return TraceID(z)
+	return TraceID(splitmix.Mix(seed + index*splitmix.Golden))
 }
 
 // Terminal outcomes of a request lifecycle. They mirror the serving layer's
