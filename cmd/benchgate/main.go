@@ -1,59 +1,59 @@
-// Command benchgate is the CI performance-trend gate: it compares a freshly
-// generated bench-smoke record against the committed baseline
-// (BENCH_table2.json) and exits non-zero on drift.
+// Command benchgate is the exact gate for the committed benchmark records.
+// Every committed BENCH_*.json is the exact projection of one record kind:
+// only the fields that are a pure function of the inputs (case counts,
+// detection rates, cache counters, digests, resilience counters, peak RSS),
+// never wall time, rates per second, latencies or worker counts.
 //
 // Usage:
 //
-//	benchgate -baseline BENCH_table2.json -fresh BENCH_fresh.json
-//	          [-max-slowdown 0.5] [-hit-drop 0.02]
+//	benchgate -baseline BENCH_table2.json -fresh artifacts/table2.json
+//	benchgate -fresh artifacts/overload.json
+//	benchgate -fresh artifacts/table2.json -write BENCH_table2.json
 //
-// Two families of checks run, with different strictness because they have
-// different noise floors:
+// The record kind is read from the record's "bench" field:
 //
-//   - cases_per_sec (overall and per tool) is machine-dependent, so it gates
-//     with a generous relative tolerance: the fresh run must reach at least
-//     (1 - max-slowdown) of the baseline throughput.
-//   - cache_hit_rate is machine-independent (it counts requests, not time),
-//     so it must not regress by more than hit-drop absolute — a drop means
-//     the pre-instrumentation or sharding logic stopped covering the run
-//     path, which no amount of hardware variance explains.
+//	table2    julietbench -json (Table II)
+//	serve     cmd/serve -json (also the chaos campaign)
+//	temporal  temporalbench -json
+//	overload  cmd/serve -overload -json (no exact fields)
 //
-// Structural drift — a tool present in the baseline but missing from the
-// fresh record, or a changed case count at the same scale — also fails.
-//
-// With -serve-baseline/-serve-fresh the gate also (or instead) compares
-// cmd/serve campaign records (BENCH_serve.json): requests/sec gates with
-// the same max-slowdown tolerance, the stream digest must match exactly
-// (it is a pure function of (spec, seed) — a mismatch means the traffic
-// generator changed without a baseline regen), and every baseline class
-// must still complete requests. A missing serve baseline file skips the
-// serve checks with a note instead of failing, so the gate can be wired
-// into CI before the first baseline is committed.
-//
-// With -overload-baseline/-overload-fresh the gate also (or instead)
-// compares cmd/serve -overload sweep records (BENCH_overload.json):
-// per-point goodput gates with the max-slowdown tolerance, and a point
-// that degrades (ladder step-downs > 0) where the baseline point did not
-// fails outright — degradation under a load the deployment used to absorb
-// at full hardening is a resilience regression no hardware variance
-// explains. A missing overload baseline skips with a note, like serve.
+// With -baseline the projection of the fresh record must equal the
+// projection of the baseline; each differing field is printed on its own
+// line. With -write the fresh record's projection replaces the baseline
+// file. Both also run the fresh-only invariants of the kind: a serve record
+// must complete requests in every class, evict no interesting flight
+// traces and, unless it is a chaos campaign, keep every SLO; an overload sweep must complete requests at
+// every point, never step down the degradation ladder, and hold goodput at
+// or above minGoodputFrac of its own calibrated capacity.
 //
 // Exit status:
 //
-//	0  all gates passed
-//	1  a gate failed (regression or structural drift)
-//	2  a record file is corrupt (truncated or unparseable JSON) — the
+//	0  every check passed
+//	1  drift against the baseline, or a fresh-only invariant failed
+//	2  a record is corrupt (unparseable JSON or an unknown kind) — the
 //	   input is damaged, not the build; regenerate the record or restore
 //	   the committed baseline
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"reflect"
+	"sort"
+	"strconv"
+
+	"cecsan/internal/cliutil"
 )
+
+// minGoodputFrac is the overload sweep's floor: every point's goodput must
+// reach this fraction of the same record's calibrated capacity. Both come
+// from one run on one machine, so the ratio does not measure the host.
+const minGoodputFrac = 0.5
 
 // corruptError marks a record file that exists but cannot be parsed — a
 // truncated write, a merge accident, a hand edit gone wrong. It gets its
@@ -70,79 +70,134 @@ func (e *corruptError) Error() string {
 
 func (e *corruptError) Unwrap() error { return e.err }
 
-// toolRecord mirrors the per-tool fields benchgate reads from the
-// julietbench -json schema; unknown fields are ignored so the gate tolerates
-// schema growth.
-type toolRecord struct {
-	Name         string  `json:"name"`
-	Cases        int     `json:"cases"`
-	CasesPerSec  float64 `json:"cases_per_sec"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
+// table2Exact is the exact projection of a julietbench Table II record.
+type table2Exact struct {
+	Bench string  `json:"bench"`
+	Scale float64 `json:"scale"`
+	Cases int     `json:"cases"`
+	Tools []struct {
+		Name           string             `json:"name"`
+		Cases          int                `json:"cases"`
+		Runs           int64              `json:"runs"`
+		FalsePositives int                `json:"false_positives"`
+		RatesPct       map[string]float64 `json:"rates_pct"`
+		CacheHits      int64              `json:"cache_hits"`
+		CacheMisses    int64              `json:"cache_misses"`
+		CachePrefills  int64              `json:"cache_prefills"`
+		CacheOverflows int64              `json:"cache_overflows"`
+	} `json:"tools"`
+}
+
+// serveCounts are the request and outcome counters of a serve campaign,
+// overall and per class. Closed-loop runs make them independent of timing
+// and worker count; shed, good, deadline-miss and abandon counts are not.
+type serveCounts struct {
+	Generated       int64 `json:"generated"`
+	Admitted        int64 `json:"admitted"`
+	Completed       int64 `json:"completed"`
+	Faults          int64 `json:"faults"`
+	Detected        int64 `json:"detected"`
+	Retries         int64 `json:"retries"`
+	BreakerTrips    int64 `json:"breaker_trips"`
+	BreakerRejected int64 `json:"breaker_rejected"`
+	Degradations    int64 `json:"degradations"`
+	Recoveries      int64 `json:"recoveries"`
+	ChaosInjected   int64 `json:"chaos_injected"`
+}
+
+// serveExact is the exact projection of a cmd/serve campaign record.
+type serveExact struct {
+	Bench     string `json:"bench"`
+	Spec      string `json:"spec"`
+	Seed      uint64 `json:"seed"`
+	ChaosSeed uint64 `json:"chaos_seed,omitempty"`
+	serveCounts
 	CacheHitRate float64 `json:"cache_hit_rate"`
+	StreamDigest string  `json:"stream_digest"`
+	ChaosDigest  string  `json:"chaos_digest,omitempty"`
+	Classes      []struct {
+		Class string `json:"class"`
+		Tool  string `json:"tool"`
+		serveCounts
+	} `json:"classes"`
 }
 
-// benchRecord mirrors the top-level julietbench -json schema.
-type benchRecord struct {
-	Scale       float64      `json:"scale"`
-	Cases       int          `json:"cases"`
-	CasesPerSec float64      `json:"cases_per_sec"`
-	Tools       []toolRecord `json:"tools"`
+// temporalExact is the exact projection of a temporalbench record.
+type temporalExact struct {
+	Bench string `json:"bench"`
+	Churn int    `json:"churn"`
+	Modes []struct {
+		Name            string  `json:"name"`
+		GenerationBits  uint    `json:"generation_bits"`
+		IndexDelay      int     `json:"index_delay"`
+		QuarantineBytes int64   `json:"quarantine_bytes"`
+		AvgRSSPct       float64 `json:"avg_rss_pct"`
+		Workloads       []struct {
+			Name         string  `json:"name"`
+			PeakRSS      int64   `json:"peak_rss"`
+			PeakOverhead int64   `json:"peak_overhead"`
+			RSSPct       float64 `json:"rss_pct"`
+			GenWraps     int64   `json:"gen_wraps,omitempty"`
+			IndexSpills  int64   `json:"index_spills,omitempty"`
+			QuarEvicts   int64   `json:"quarantine_evictions,omitempty"`
+			QuarFlushes  int64   `json:"quarantine_flushes,omitempty"`
+		} `json:"workloads"`
+	} `json:"modes"`
 }
 
-// serveClassRecord mirrors the per-class fields benchgate reads from the
-// cmd/serve -json schema.
-type serveClassRecord struct {
-	Class     string `json:"class"`
-	Completed int64  `json:"completed"`
+// serveFresh mirrors what the fresh-only serve invariants read.
+type serveFresh struct {
+	ChaosSeed uint64 `json:"chaos_seed"`
+	Classes   []struct {
+		Class     string `json:"class"`
+		Completed int64  `json:"completed"`
+	} `json:"classes"`
+	Flight *struct {
+		EvictedInteresting int64 `json:"evicted_interesting"`
+	} `json:"flight"`
+	SLO []struct {
+		Class       string `json:"class"`
+		Exhausted   bool   `json:"exhausted"`
+		P99Violated bool   `json:"p99_violated"`
+	} `json:"slo"`
 }
 
-// serveFlightRecord mirrors the flight-recorder summary fields benchgate
-// reads from the cmd/serve -json schema.
-type serveFlightRecord struct {
-	Retained           int64 `json:"retained"`
-	EvictedInteresting int64 `json:"evicted_interesting"`
+// overloadFresh mirrors what the fresh-only overload invariants read.
+type overloadFresh struct {
+	CapacityPerSec float64 `json:"capacity_per_sec"`
+	Points         []struct {
+		Multiple float64 `json:"multiple"`
+		Result   struct {
+			Completed     int64   `json:"completed"`
+			GoodputPerSec float64 `json:"goodput_per_sec"`
+			Degradations  int64   `json:"degradations"`
+		} `json:"result"`
+	} `json:"points"`
 }
 
-// serveSLORecord mirrors the per-class SLO status fields benchgate reads.
-type serveSLORecord struct {
-	Class       string `json:"class"`
-	Exhausted   bool   `json:"exhausted"`
-	P99Violated bool   `json:"p99_violated"`
+// kind is one record kind: its exact projection (nil when the kind has no
+// exact fields) and its fresh-only invariants (nil when it has none).
+type kind struct {
+	exact func() any
+	check func(data []byte) ([]string, error)
 }
 
-// serveRecord mirrors the top-level cmd/serve -json schema.
-type serveRecord struct {
-	Seed           uint64             `json:"seed"`
-	Generated      int64              `json:"generated"`
-	Completed      int64              `json:"completed"`
-	RequestsPerSec float64            `json:"requests_per_sec"`
-	StreamDigest   string             `json:"stream_digest"`
-	Classes        []serveClassRecord `json:"classes"`
-	Flight         *serveFlightRecord `json:"flight,omitempty"`
-	SLO            []serveSLORecord   `json:"slo,omitempty"`
+var kinds = map[string]kind{
+	"table2":   {exact: func() any { return new(table2Exact) }},
+	"serve":    {exact: func() any { return new(serveExact) }, check: checkServe},
+	"temporal": {exact: func() any { return new(temporalExact) }},
+	"overload": {check: checkOverload},
 }
 
-// overloadPointRecord mirrors the per-point fields benchgate reads from
-// the cmd/serve -overload schema.
-type overloadPointRecord struct {
-	Multiple float64 `json:"multiple"`
-	Result   struct {
-		Completed     int64   `json:"completed"`
-		GoodputPerSec float64 `json:"goodput_per_sec"`
-		Degradations  int64   `json:"degradations"`
-		BreakerTrips  int64   `json:"breaker_trips"`
-	} `json:"result"`
-}
-
-// overloadRecord mirrors the top-level cmd/serve -overload schema.
-type overloadRecord struct {
-	CapacityPerSec float64               `json:"capacity_per_sec"`
-	Points         []overloadPointRecord `json:"points"`
+// record is one parsed record file.
+type record struct {
+	path string
+	data []byte
+	kind string
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		var ce *corruptError
 		if errors.As(err, &ce) {
@@ -152,305 +207,267 @@ func main() {
 	}
 }
 
-func load(path string) (*benchRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rec := &benchRecord{}
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, &corruptError{path: path, err: err}
-	}
-	return rec, nil
-}
-
-func run() error {
-	baselinePath := flag.String("baseline", "BENCH_table2.json", "committed baseline benchmark record")
-	freshPath := flag.String("fresh", "", "freshly generated benchmark record to gate (required)")
-	maxSlowdown := flag.Float64("max-slowdown", 0.5, "maximum tolerated relative cases/sec regression (0.5 = fresh may be half the baseline)")
-	hitDrop := flag.Float64("hit-drop", 0.02, "maximum tolerated absolute cache hit-rate regression")
-	serveBaselinePath := flag.String("serve-baseline", "", "committed cmd/serve baseline record (BENCH_serve.json)")
-	serveFreshPath := flag.String("serve-fresh", "", "freshly generated cmd/serve record to gate")
-	overloadBaselinePath := flag.String("overload-baseline", "", "committed cmd/serve -overload baseline record (BENCH_overload.json)")
-	overloadFreshPath := flag.String("overload-fresh", "", "freshly generated cmd/serve -overload record to gate")
-	flag.Parse()
-	if *freshPath == "" && *serveFreshPath == "" && *overloadFreshPath == "" {
-		return fmt.Errorf("one of -fresh / -serve-fresh / -overload-fresh is required")
-	}
-	if *serveFreshPath != "" {
-		if err := gateServe(*serveBaselinePath, *serveFreshPath, *maxSlowdown); err != nil {
-			return err
-		}
-	}
-	if *overloadFreshPath != "" {
-		if err := gateOverload(*overloadBaselinePath, *overloadFreshPath, *maxSlowdown); err != nil {
-			return err
-		}
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	baselinePath := fs.String("baseline", "", "committed baseline record to gate against")
+	freshPath := fs.String("fresh", "", "freshly generated record to gate (required)")
+	writePath := fs.String("write", "", "write the fresh record's exact projection to this path")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 	if *freshPath == "" {
-		return nil
+		return fmt.Errorf("-fresh is required")
 	}
-
-	base, err := load(*baselinePath)
-	if err != nil {
-		return err
+	if *baselinePath != "" && *writePath != "" {
+		return fmt.Errorf("-baseline and -write are exclusive")
 	}
 	fresh, err := load(*freshPath)
 	if err != nil {
 		return err
 	}
+	k := kinds[fresh.kind]
 
 	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
-	}
-
-	if base.Scale != fresh.Scale {
-		fail("scale mismatch: baseline %.3f, fresh %.3f (records are not comparable)", base.Scale, fresh.Scale)
-	} else if base.Cases != fresh.Cases {
-		fail("case count drift at scale %.3f: baseline %d, fresh %d", base.Scale, base.Cases, fresh.Cases)
-	}
-
-	floor := base.CasesPerSec * (1 - *maxSlowdown)
-	status := "ok"
-	if fresh.CasesPerSec < floor {
-		status = "FAIL"
-		fail("overall cases/sec %.0f below floor %.0f (baseline %.0f, max slowdown %.0f%%)",
-			fresh.CasesPerSec, floor, base.CasesPerSec, 100**maxSlowdown)
-	}
-	fmt.Printf("%-16s cases/sec %10.0f baseline %10.0f floor %10.0f  %s\n",
-		"overall", fresh.CasesPerSec, base.CasesPerSec, floor, status)
-
-	baseTools := make(map[string]toolRecord, len(base.Tools))
-	for _, t := range base.Tools {
-		baseTools[t.Name] = t
-	}
-	for _, ft := range fresh.Tools {
-		bt, ok := baseTools[ft.Name]
-		if !ok {
-			continue // new tool: nothing to regress against
+	if k.check != nil {
+		if failures, err = k.check(fresh.data); err != nil {
+			return &corruptError{path: fresh.path, err: err}
 		}
-		delete(baseTools, ft.Name)
-		status := "ok"
-		if ft.CacheHitRate < bt.CacheHitRate-*hitDrop {
-			status = "FAIL"
-			fail("%s cache hit rate %.1f%% regressed below baseline %.1f%% (allowed drop %.1f pts)",
-				ft.Name, 100*ft.CacheHitRate, 100*bt.CacheHitRate, 100**hitDrop)
-		}
-		fmt.Printf("%-16s hit rate %12.1f%% baseline %8.1f%%  %s\n",
-			ft.Name, 100*ft.CacheHitRate, 100*bt.CacheHitRate, status)
 	}
-	for name := range baseTools {
-		fail("tool %s present in baseline but missing from fresh record", name)
+	switch {
+	case *writePath != "":
+		if k.exact == nil {
+			return fmt.Errorf("%s records have no exact fields to write", fresh.kind)
+		}
+		if len(failures) > 0 {
+			break
+		}
+		proj, err := project(fresh, k)
+		if err != nil {
+			return err
+		}
+		if err := cliutil.WriteJSON(*writePath, proj); err != nil {
+			return err
+		}
+	case *baselinePath != "":
+		if k.exact == nil {
+			return fmt.Errorf("%s records have no exact fields; gate them without -baseline", fresh.kind)
+		}
+		base, err := load(*baselinePath)
+		if err != nil {
+			return err
+		}
+		if base.kind != fresh.kind {
+			return fmt.Errorf("baseline %s is a %s record, fresh %s is a %s record", base.path, base.kind, fresh.path, fresh.kind)
+		}
+		var trees [2]any
+		for i, r := range []*record{base, fresh} {
+			v, err := project(r, k)
+			if err != nil {
+				return err
+			}
+			if trees[i], err = tree(v); err != nil {
+				return err
+			}
+		}
+		diff("", trees[0], trees[1], &failures)
+	case k.exact != nil:
+		return fmt.Errorf("%s records need -baseline or -write", fresh.kind)
 	}
 
+	for _, f := range failures {
+		fmt.Fprintln(out, "DRIFT:", f)
+	}
 	if len(failures) > 0 {
-		fmt.Println()
-		for _, f := range failures {
-			fmt.Println("DRIFT:", f)
-		}
-		return fmt.Errorf("%d check(s) failed against %s", len(failures), *baselinePath)
+		return fmt.Errorf("%d check(s) failed on %s", len(failures), fresh.path)
 	}
-	fmt.Println("benchgate: no drift")
+	fmt.Fprintf(out, "benchgate: %s record %s ok\n", fresh.kind, fresh.path)
 	return nil
 }
 
-// loadServe reads a cmd/serve campaign record.
-func loadServe(path string) (*serveRecord, error) {
+// load reads a record and dispatches it on its "bench" field.
+func load(path string) (*record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	rec := &serveRecord{}
-	if err := json.Unmarshal(data, rec); err != nil {
+	var head struct {
+		Bench string `json:"bench"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
 		return nil, &corruptError{path: path, err: err}
 	}
-	return rec, nil
+	if _, ok := kinds[head.Bench]; !ok {
+		return nil, &corruptError{path: path, err: fmt.Errorf("unknown record kind %q", head.Bench)}
+	}
+	return &record{path: path, data: data, kind: head.Bench}, nil
 }
 
-// gateServe compares a fresh cmd/serve record against the committed
-// baseline. A missing baseline file skips with a note (first-run
-// bootstrap); everything else gates.
-func gateServe(baselinePath, freshPath string, maxSlowdown float64) error {
-	fresh, err := loadServe(freshPath)
+// project decodes a record through its kind's exact mirror.
+func project(r *record, k kind) (any, error) {
+	v := k.exact()
+	if err := json.Unmarshal(r.data, v); err != nil {
+		return nil, &corruptError{path: r.path, err: err}
+	}
+	return v, nil
+}
+
+// tree re-reads a projection as a generic JSON tree for diff, keeping
+// numbers as their exact text.
+func tree(v any) (any, error) {
+	data, err := json.Marshal(v)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if fresh.Completed == 0 {
-		return fmt.Errorf("fresh serve record %s completed 0 requests", freshPath)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	var tree any
+	if err := dec.Decode(&tree); err != nil {
+		return nil, err
 	}
-	// Observability gates run on the fresh record alone: trace loss and SLO
-	// violations are absolute failures, not trends against a baseline.
-	if fresh.Flight != nil && fresh.Flight.EvictedInteresting > 0 {
-		return fmt.Errorf("fresh serve record %s evicted %d interesting traces (flight budget too small for the smoke)",
-			freshPath, fresh.Flight.EvictedInteresting)
+	return tree, nil
+}
+
+// diff appends one line per leaf that differs between the baseline tree b
+// and the fresh tree f. Array elements carrying a "name" or "class" are
+// matched by it, so a reordered or missing entry is named, not shifted.
+func diff(path string, b, f any, out *[]string) {
+	switch bv := b.(type) {
+	case map[string]any:
+		fv, ok := f.(map[string]any)
+		if !ok {
+			break
+		}
+		keys := make([]string, 0, len(bv)+len(fv))
+		for k := range bv {
+			keys = append(keys, k)
+		}
+		for k := range fv {
+			if _, ok := bv[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			diff(join(path, k), bv[k], fv[k], out)
+		}
+		return
+	case []any:
+		fv, ok := f.([]any)
+		if !ok {
+			break
+		}
+		fresh := make(map[string]any, len(fv))
+		for i, e := range fv {
+			fresh[label(e, i)] = e
+		}
+		for i, e := range bv {
+			l := label(e, i)
+			fe, ok := fresh[l]
+			if !ok {
+				*out = append(*out, fmt.Sprintf("%s[%s]: in baseline, missing from fresh", path, l))
+				continue
+			}
+			delete(fresh, l)
+			diff(fmt.Sprintf("%s[%s]", path, l), e, fe, out)
+		}
+		for i, e := range fv {
+			l := label(e, i)
+			if _, ok := fresh[l]; ok {
+				*out = append(*out, fmt.Sprintf("%s[%s]: in fresh, missing from baseline", path, l))
+			}
+		}
+		return
 	}
-	for _, st := range fresh.SLO {
+	if !reflect.DeepEqual(b, f) {
+		*out = append(*out, fmt.Sprintf("%s: baseline %s, fresh %s", path, show(b), show(f)))
+	}
+}
+
+func join(path, key string) string {
+	if path == "" {
+		return key
+	}
+	return path + "." + key
+}
+
+// label names an array element by its "name" or "class" field, falling
+// back to its index.
+func label(e any, i int) string {
+	if m, ok := e.(map[string]any); ok {
+		for _, key := range []string{"name", "class"} {
+			if s, ok := m[key].(string); ok {
+				return s
+			}
+		}
+	}
+	return strconv.Itoa(i)
+}
+
+func show(v any) string {
+	if v == nil {
+		return "absent"
+	}
+	data, _ := json.Marshal(v)
+	return string(data)
+}
+
+// checkServe applies the fresh-only serve invariants. A chaos campaign
+// injects faults and trips breakers on purpose, so burning its SLO budget
+// is the expected outcome, not a failure: the SLO checks skip it.
+func checkServe(data []byte) ([]string, error) {
+	var r serveFresh
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	var failures []string
+	if len(r.Classes) == 0 {
+		failures = append(failures, "no classes")
+	}
+	for _, c := range r.Classes {
+		if c.Completed == 0 {
+			failures = append(failures, fmt.Sprintf("classes[%s].completed: 0 requests", c.Class))
+		}
+	}
+	if r.Flight != nil && r.Flight.EvictedInteresting > 0 {
+		failures = append(failures, fmt.Sprintf("flight.evicted_interesting: %d traces lost (flight budget too small)", r.Flight.EvictedInteresting))
+	}
+	for _, st := range r.SLO {
+		if r.ChaosSeed != 0 {
+			break
+		}
 		if st.Exhausted {
-			return fmt.Errorf("fresh serve record %s: class %q SLO budget exhausted", freshPath, st.Class)
+			failures = append(failures, fmt.Sprintf("slo[%s].exhausted: error budget exhausted", st.Class))
 		}
 		if st.P99Violated {
-			return fmt.Errorf("fresh serve record %s: class %q p99 objective violated", freshPath, st.Class)
+			failures = append(failures, fmt.Sprintf("slo[%s].p99_violated: p99 objective violated", st.Class))
 		}
 	}
-	if baselinePath == "" {
-		fmt.Println("serve: no -serve-baseline given, record is well-formed; skipping trend checks")
-		return nil
-	}
-	base, err := loadServe(baselinePath)
-	if os.IsNotExist(err) {
-		fmt.Printf("serve: baseline %s does not exist yet; skipping trend checks\n", baselinePath)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-
-	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
-	}
-
-	// The stream digest is a pure function of (spec, seed) — byte-equal
-	// across machines and worker counts. Drift means the traffic generator
-	// changed semantically without a baseline regen.
-	if base.Seed == fresh.Seed && base.StreamDigest != fresh.StreamDigest {
-		fail("stream digest drift at seed %d: baseline %s, fresh %s",
-			base.Seed, base.StreamDigest, fresh.StreamDigest)
-	}
-
-	floor := base.RequestsPerSec * (1 - maxSlowdown)
-	status := "ok"
-	if fresh.RequestsPerSec < floor {
-		status = "FAIL"
-		fail("serve requests/sec %.0f below floor %.0f (baseline %.0f, max slowdown %.0f%%)",
-			fresh.RequestsPerSec, floor, base.RequestsPerSec, 100*maxSlowdown)
-	}
-	fmt.Printf("%-16s req/sec   %10.0f baseline %10.0f floor %10.0f  %s\n",
-		"serve", fresh.RequestsPerSec, base.RequestsPerSec, floor, status)
-
-	freshClasses := make(map[string]serveClassRecord, len(fresh.Classes))
-	for _, c := range fresh.Classes {
-		freshClasses[c.Class] = c
-	}
-	for _, bc := range base.Classes {
-		fc, ok := freshClasses[bc.Class]
-		if !ok {
-			fail("class %q present in serve baseline but missing from fresh record", bc.Class)
-			continue
-		}
-		if fc.Completed == 0 {
-			fail("class %q completed 0 requests (baseline %d)", bc.Class, bc.Completed)
-		}
-	}
-
-	if len(failures) > 0 {
-		fmt.Println()
-		for _, f := range failures {
-			fmt.Println("DRIFT:", f)
-		}
-		return fmt.Errorf("%d serve check(s) failed against %s", len(failures), baselinePath)
-	}
-	fmt.Println("serve: no drift")
-	return nil
+	return failures, nil
 }
 
-// loadOverload reads a cmd/serve -overload sweep record.
-func loadOverload(path string) (*overloadRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+// checkOverload applies the fresh-only overload-sweep invariants.
+func checkOverload(data []byte) ([]string, error) {
+	var r overloadFresh
+	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	rec := &overloadRecord{}
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, &corruptError{path: path, err: err}
-	}
-	return rec, nil
-}
-
-// gateOverload compares a fresh overload-sweep record against the committed
-// baseline. Goodput (deadline-meeting completions per second) gates with the
-// relative max-slowdown tolerance, per point and for calibrated capacity. A
-// fresh point that steps down the degradation ladder where the baseline
-// point stayed at full hardening fails outright: that is the resilience
-// layer reporting the same offered multiple now exceeds what full hardening
-// can absorb, which is a code regression, not machine noise (the multiple is
-// relative to each machine's own calibrated capacity). A missing baseline
-// file skips with a note (first-run bootstrap); everything else gates.
-func gateOverload(baselinePath, freshPath string, maxSlowdown float64) error {
-	fresh, err := loadOverload(freshPath)
-	if err != nil {
-		return err
-	}
-	if len(fresh.Points) == 0 {
-		return fmt.Errorf("fresh overload record %s has no sweep points", freshPath)
-	}
-	for _, p := range fresh.Points {
-		if p.Result.Completed == 0 {
-			return fmt.Errorf("fresh overload record %s point %gx completed 0 requests", freshPath, p.Multiple)
-		}
-	}
-	if baselinePath == "" {
-		fmt.Println("overload: no -overload-baseline given, record is well-formed; skipping trend checks")
-		return nil
-	}
-	base, err := loadOverload(baselinePath)
-	if os.IsNotExist(err) {
-		fmt.Printf("overload: baseline %s does not exist yet; skipping trend checks\n", baselinePath)
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-
 	var failures []string
-	fail := func(format string, args ...any) {
-		failures = append(failures, fmt.Sprintf(format, args...))
+	if len(r.Points) == 0 {
+		failures = append(failures, "points: no sweep points")
 	}
-
-	capFloor := base.CapacityPerSec * (1 - maxSlowdown)
-	status := "ok"
-	if fresh.CapacityPerSec < capFloor {
-		status = "FAIL"
-		fail("overload capacity %.0f req/s below floor %.0f (baseline %.0f, max slowdown %.0f%%)",
-			fresh.CapacityPerSec, capFloor, base.CapacityPerSec, 100*maxSlowdown)
-	}
-	fmt.Printf("%-16s capacity  %10.0f baseline %10.0f floor %10.0f  %s\n",
-		"overload", fresh.CapacityPerSec, base.CapacityPerSec, capFloor, status)
-
-	freshPoints := make(map[float64]overloadPointRecord, len(fresh.Points))
-	for _, p := range fresh.Points {
-		freshPoints[p.Multiple] = p
-	}
-	for _, bp := range base.Points {
-		fp, ok := freshPoints[bp.Multiple]
-		if !ok {
-			fail("sweep point %gx present in overload baseline but missing from fresh record", bp.Multiple)
-			continue
+	floor := minGoodputFrac * r.CapacityPerSec
+	for _, p := range r.Points {
+		switch {
+		case p.Result.Completed == 0:
+			failures = append(failures, fmt.Sprintf("points[%gx].completed: 0 requests", p.Multiple))
+		case p.Result.GoodputPerSec < floor:
+			failures = append(failures, fmt.Sprintf("points[%gx].goodput_per_sec: %.0f below %.0f (%g x capacity %.0f)",
+				p.Multiple, p.Result.GoodputPerSec, floor, minGoodputFrac, r.CapacityPerSec))
 		}
-		floor := bp.Result.GoodputPerSec * (1 - maxSlowdown)
-		status := "ok"
-		if fp.Result.GoodputPerSec < floor {
-			status = "FAIL"
-			fail("point %gx goodput %.0f req/s below floor %.0f (baseline %.0f, max slowdown %.0f%%)",
-				bp.Multiple, fp.Result.GoodputPerSec, floor, bp.Result.GoodputPerSec, 100*maxSlowdown)
+		if p.Result.Degradations > 0 {
+			failures = append(failures, fmt.Sprintf("points[%gx].degradations: stepped down the ladder %d time(s)",
+				p.Multiple, p.Result.Degradations))
 		}
-		if bp.Result.Degradations == 0 && fp.Result.Degradations > 0 {
-			status = "FAIL"
-			fail("point %gx stepped down the degradation ladder %d time(s); baseline held full hardening",
-				bp.Multiple, fp.Result.Degradations)
-		}
-		fmt.Printf("%-16s goodput   %10.0f baseline %10.0f floor %10.0f  %s\n",
-			fmt.Sprintf("point %gx", bp.Multiple), fp.Result.GoodputPerSec, bp.Result.GoodputPerSec, floor, status)
 	}
-
-	if len(failures) > 0 {
-		fmt.Println()
-		for _, f := range failures {
-			fmt.Println("DRIFT:", f)
-		}
-		return fmt.Errorf("%d overload check(s) failed against %s", len(failures), baselinePath)
-	}
-	fmt.Println("overload: no drift")
-	return nil
+	return failures, nil
 }

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	fuzz -seed 1 -count 1000 [-workers N] [-json report.json]
-//	     [-bench BENCH_fuzz.json] [-repro dir] [-progress]
+//	     [-repro dir] [-progress]
 //	     [-faults SEED] [-hardened] [-max-steps N] [-max-depth N]
 //	     [-checkpoint f.ckpt] [-checkpoint-every N] [-resume f.ckpt]
 //	     [-metrics-json m.json] [-trace t.json] [-http 127.0.0.1:0]
@@ -70,7 +70,6 @@ func run() (int, error) {
 	seed := flag.Uint64("seed", 1, "campaign base seed")
 	count := flag.Int("count", 1000, "number of generated cases")
 	jsonPath := flag.String("json", "", "write the deterministic campaign record to this path")
-	benchPath := flag.String("bench", "", "write throughput counters (BENCH_fuzz.json) to this path")
 	reproDir := flag.String("repro", "", "write minimized .csc reproducers for findings into this directory")
 	emit := flag.Uint64("emit", 0, "print the generated program for one case seed and exit")
 	progress := flag.Bool("progress", false, "print campaign progress to stderr")
@@ -192,11 +191,6 @@ func run() (int, error) {
 			return exitHarness, err
 		}
 	}
-	if *benchPath != "" {
-		if err := cliutil.WriteJSON(*benchPath, benchRecord(rep, runner)); err != nil {
-			return exitHarness, err
-		}
-	}
 	for i, f := range rep.Findings {
 		fmt.Printf("FINDING %d: tool=%s shape=%s reason=%s seed=%d %s\n",
 			i, f.Tool, f.Shape, f.Reason, f.Seed, f.Detail)
@@ -227,47 +221,4 @@ func run() (int, error) {
 	}
 	fmt.Println("no findings: every outcome matched its oracle expectation")
 	return exitOK, nil
-}
-
-// benchRecord is the throughput side of the campaign, kept apart from the
-// deterministic report because it carries timing.
-func benchRecord(rep *fuzz.Report, runner *fuzz.Runner) map[string]any {
-	stats := runner.Stats()
-	tools := map[string]any{}
-	var runs int64
-	var wallSec float64
-	for _, tr := range rep.Tools {
-		s := stats[tr.Tool]
-		runs += s.Runs
-		if sec := s.Wall.Seconds(); sec > wallSec {
-			wallSec = sec
-		}
-		tools[tr.Tool] = map[string]any{
-			"detected":       tr.Detected,
-			"miss_doc":       tr.MissDoc,
-			"detected_prob":  tr.DetectedProb,
-			"miss_prob":      tr.MissProb,
-			"clean":          tr.Clean,
-			"pressure":       tr.Pressure,
-			"faults":         tr.Faults,
-			"findings":       tr.Findings,
-			"cases_per_sec":  s.CasesPerSec(),
-			"cache_hit_rate": s.CacheHitRate(),
-		}
-	}
-	rec := map[string]any{
-		"bench": "fuzz",
-		"seed":  rep.Seed,
-		"count": rep.Count,
-		"runs":  runs,
-		"tools": tools,
-	}
-	if rep.FaultSeed != 0 {
-		rec["fault_seed"] = rep.FaultSeed
-		rec["harness_faults"] = rep.HarnessFaults
-	}
-	if wallSec > 0 {
-		rec["cases_per_sec_total"] = float64(runs) / wallSec
-	}
-	return rec
 }

@@ -53,6 +53,7 @@ type toolJSON struct {
 
 // benchJSON is the BENCH_table2.json schema.
 type benchJSON struct {
+	Bench       string     `json:"bench"`
 	Table       int        `json:"table"`
 	Scale       float64    `json:"scale"`
 	Cases       int        `json:"cases"`
@@ -134,6 +135,7 @@ func run() error {
 
 	if *jsonPath != "" {
 		rec := benchJSON{
+			Bench:       "table2",
 			Table:       *table,
 			Scale:       *scale,
 			Cases:       len(suite),

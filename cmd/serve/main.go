@@ -8,25 +8,20 @@
 //
 //	serve -spec examples/workloads/interactive-batch.yaml
 //	      [-seed N] [-workers N] [-max-requests N] [-duration 30s]
-//	      [-speedup X] [-queue N] [-min-completed N]
-//	      [-resilience] [-chaos-seed N]
-//	      [-breaker-window N] [-breaker-threshold X] [-breaker-cooldown N]
-//	      [-retry-max N] [-ladder-trips N] [-ladder-recovery N]
-//	      [-max-breaker-trips N] [-min-breaker-trips N]
-//	      [-min-degradations N] [-min-recoveries N]
-//	      [-overload] [-overload-multiples 1,2,4] [-overload-requests N]
+//	      [-speedup X] [-queue N]
+//	      [-resilience] [-chaos-seed N] [-retry-max N] [-overload]
 //	      [-checkpoint s.ckpt] [-checkpoint-every N] [-resume s.ckpt]
 //	      [-supervise] [-max-restarts N]
 //	      [-flight f.jsonl] [-flight-budget N] [-flight-sample N]
-//	      [-slo-exit]
-//	      [-json BENCH_serve.json] [-progress]
+//	      [-json serve.json] [-progress]
 //	      [-metrics-json m.json] [-trace t.json] [-http 127.0.0.1:0]
 //
 // With -speedup X the spec's virtual arrival schedule replays compressed
 // X-fold on the wall clock (open loop: a full admission queue sheds).
 // Without it the campaign runs closed-loop — requests are admitted as
-// fast as the workers drain them — which is the throughput-measurement
-// mode CI gates on.
+// fast as the workers drain them — which makes every request and outcome
+// counter independent of timing: the mode the committed serve records
+// (gated exactly by cmd/benchgate) are taken in.
 //
 // -resilience arms the overload layer: CoDel-style delay shedding,
 // per-class token buckets, bounded retries with seeded backoff, per-class
@@ -37,9 +32,8 @@
 // any -workers for a closed-loop run.
 //
 // -overload replaces the single campaign with a sweep: one closed-loop
-// calibration run measures capacity, then each -overload-multiples point
-// replays the stream open-loop at that multiple of capacity with
-// resilience armed, emitting the BENCH_overload.json payload.
+// calibration run measures capacity, then 5000-request points replay the
+// stream open-loop at 1, 2 and 4 times capacity with resilience armed.
 //
 // The request stream (and the stream_digest in the summary) depends only
 // on (spec, seed): rerunning with a different -workers, -speedup or any
@@ -55,8 +49,8 @@
 //
 // -supervise runs the campaign in a forked worker process and restarts
 // it from the last checkpoint after an abnormal exit (signal death,
-// panic, internal error — never an assertion failure), with a bounded
-// restart budget (-max-restarts) and crash-loop backoff. The summary's
+// panic, internal error), with a bounded restart budget (-max-restarts)
+// and crash-loop backoff. The summary's
 // restarts counter records how many times the worker died. When -flight
 // is also set, each abnormal exit dumps the last checkpoint's retained
 // traces to <flight>.crash before restarting — a post-mortem that
@@ -72,15 +66,13 @@
 // in chrome://tracing or Perfetto): each request's lifecycle events with
 // the engine's instrument/run/reset spans nested in its execute span.
 //
-// -slo-exit gates the exit status on the spec's slo: declarations: any
-// class with its error budget exhausted or its p99 objective violated
-// exits 1. Specs without slo: sections fail the gate loudly (exit 2).
+// The summary carries the campaign's SLO status; cmd/benchgate fails a
+// record whose error budget is exhausted or whose p99 objective is
+// violated.
 //
 // Exit status:
 //
 //	0  campaign completed
-//	1  -min-completed, -max/min-breaker-trips, -min-degradations,
-//	   -min-recoveries or -slo-exit violated
 //	2  spec or internal error
 package main
 
@@ -89,8 +81,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -102,7 +92,6 @@ import (
 
 const (
 	exitOK       = 0
-	exitShort    = 1
 	exitInternal = 2
 )
 
@@ -114,15 +103,16 @@ func main() {
 	os.Exit(code)
 }
 
-// benchRecord is the BENCH_serve.json payload: run metadata plus the
-// campaign summary.
+// benchRecord is the -json payload: run metadata plus the campaign
+// summary. Its exact projection is the committed BENCH_serve.json (and
+// BENCH_chaos.json for the chaos campaign).
 type benchRecord struct {
 	Bench string `json:"bench"`
 	Spec  string `json:"spec"`
 	*traffic.ServeResult
 }
 
-// overloadRecord is the BENCH_overload.json payload.
+// overloadRecord is the -overload -json payload.
 type overloadRecord struct {
 	Bench string `json:"bench"`
 	Spec  string `json:"spec"`
@@ -137,23 +127,11 @@ func run() (int, error) {
 	duration := flag.Duration("duration", 0, "stop admission after this wall time (0 = until stream ends)")
 	speedup := flag.Float64("speedup", 0, "replay the virtual arrival schedule compressed X-fold (0 = closed loop)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
-	minCompleted := flag.Int("min-completed", 0, "exit 1 unless every class completes at least N requests")
 	resilience := flag.Bool("resilience", false, "arm the overload-resilience layer (admission control, retries, breakers, degradation ladder)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "arm the chaos campaign with this seed (implies -resilience; 0 = off)")
-	breakerWindow := flag.Int("breaker-window", 0, "circuit-breaker sliding window, attempts (0 = default)")
-	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker fault-rate trip threshold (0 = default)")
-	breakerCooldown := flag.Int("breaker-cooldown", 0, "rejected requests while open before a half-open probe (0 = default, -1 disables breakers)")
 	retryMax := flag.Int("retry-max", 0, "max retries per request (0 = default, -1 disables)")
-	ladderTrips := flag.Int("ladder-trips", 0, "breaker trips per degradation-ladder step (0 = default, -1 freezes the ladder)")
-	ladderRecovery := flag.Int("ladder-recovery", 0, "consecutive clean completions to step back up (0 = default)")
-	maxBreakerTrips := flag.Int("max-breaker-trips", -1, "exit 1 if total breaker trips exceed N (-1 = no assertion)")
-	minBreakerTrips := flag.Int("min-breaker-trips", 0, "exit 1 unless total breaker trips reach N")
-	minDegradations := flag.Int("min-degradations", 0, "exit 1 unless total ladder step-downs reach N")
-	minRecoveries := flag.Int("min-recoveries", 0, "exit 1 unless total ladder recoveries reach N")
-	overload := flag.Bool("overload", false, "run the overload sweep (calibrate, then open-loop points past saturation)")
-	overloadMultiples := flag.String("overload-multiples", "1,2,4", "comma-separated capacity multiples for -overload")
-	overloadRequests := flag.Int("overload-requests", 0, "requests per overload point (0 = 5000)")
-	jsonPath := cliutil.JSONFlag("write the BENCH_serve.json (or BENCH_overload.json) summary to this path")
+	overload := flag.Bool("overload", false, "run the overload sweep (calibrate, then open-loop points at 1, 2 and 4x capacity)")
+	jsonPath := cliutil.JSONFlag("write the campaign (or -overload sweep) summary to this path")
 	progress := flag.Bool("progress", false, "print a progress line every 256 processed requests")
 	ckptPath := flag.String("checkpoint", "", "write a durable campaign snapshot to this path at the checkpoint cadence")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in generated requests (0 = 1000)")
@@ -164,7 +142,6 @@ func run() (int, error) {
 	flightPath := flag.String("flight", "", "arm the flight recorder and write retained traces as JSON lines to this path")
 	flightBudget := flag.Int("flight-budget", obs.DefaultFlightBudget, "flight recorder trace budget")
 	flightSample := flag.Int("flight-sample", obs.DefaultFlightSampleN, "keep 1 in N healthy traces (deterministic, keyed on trace ID)")
-	sloExit := flag.Bool("slo-exit", false, "exit 1 if any class's SLO budget is exhausted or p99 objective violated")
 	obsFlags := cliutil.ObsFlagsCmd()
 	flag.Parse()
 
@@ -197,14 +174,7 @@ func run() (int, error) {
 
 	var resCfg *traffic.ResilienceConfig
 	if *resilience || *chaosSeed != 0 || *overload {
-		resCfg = &traffic.ResilienceConfig{
-			BreakerWindow:    *breakerWindow,
-			BreakerThreshold: *breakerThreshold,
-			BreakerCooldown:  *breakerCooldown,
-			RetryMax:         *retryMax,
-			LadderTrips:      *ladderTrips,
-			LadderRecovery:   *ladderRecovery,
-		}
+		resCfg = &traffic.ResilienceConfig{RetryMax: *retryMax}
 	}
 
 	observer, srv, err := obsFlags.Build()
@@ -217,16 +187,10 @@ func run() (int, error) {
 	}
 
 	if *overload {
-		multiples, merr := parseMultiples(*overloadMultiples)
-		if merr != nil {
-			return exitInternal, merr
-		}
 		return runOverload(spec, observer, srv, obsFlags, overloadOpts{
 			specPath:  *specPath,
 			seed:      *seed,
 			workers:   cliutil.ResolveWorkers(*workers),
-			requests:  *overloadRequests,
-			multiples: multiples,
 			res:       resCfg,
 			chaosSeed: *chaosSeed,
 			queue:     *queue,
@@ -349,45 +313,6 @@ func run() (int, error) {
 	if err != nil {
 		return exitInternal, err
 	}
-	if *sloExit {
-		if len(res.SLO) == 0 {
-			return exitInternal, fmt.Errorf("-slo-exit: the spec declares no slo: sections, nothing to gate on")
-		}
-		for _, st := range res.SLO {
-			if st.Exhausted {
-				return exitShort, fmt.Errorf("class %q: SLO budget exhausted (%.4f of target %.4f good, budget used %.2f)",
-					st.Class, float64(st.Good)/max(float64(st.Total), 1), st.Target, st.BudgetUsed)
-			}
-			if st.P99Violated {
-				return exitShort, fmt.Errorf("class %q: p99 %dus exceeds objective %dus",
-					st.Class, st.P99US, st.P99ObjectiveUS)
-			}
-		}
-	}
-	if *minCompleted > 0 {
-		for _, cs := range res.Classes {
-			if cs.Completed < int64(*minCompleted) {
-				return exitShort, fmt.Errorf("class %q completed %d < %d requests",
-					cs.Class, cs.Completed, *minCompleted)
-			}
-		}
-	}
-	if *maxBreakerTrips >= 0 && res.BreakerTrips > int64(*maxBreakerTrips) {
-		return exitShort, fmt.Errorf("breaker trips %d > -max-breaker-trips %d (unexpected flapping)",
-			res.BreakerTrips, *maxBreakerTrips)
-	}
-	if *minBreakerTrips > 0 && res.BreakerTrips < int64(*minBreakerTrips) {
-		return exitShort, fmt.Errorf("breaker trips %d < -min-breaker-trips %d",
-			res.BreakerTrips, *minBreakerTrips)
-	}
-	if *minDegradations > 0 && res.Degradations < int64(*minDegradations) {
-		return exitShort, fmt.Errorf("ladder degradations %d < -min-degradations %d",
-			res.Degradations, *minDegradations)
-	}
-	if *minRecoveries > 0 && res.Recoveries < int64(*minRecoveries) {
-		return exitShort, fmt.Errorf("ladder recoveries %d < -min-recoveries %d",
-			res.Recoveries, *minRecoveries)
-	}
 	return exitOK, nil
 }
 
@@ -470,8 +395,6 @@ type overloadOpts struct {
 	specPath  string
 	seed      uint64
 	workers   int
-	requests  int
-	multiples []float64
 	res       *traffic.ResilienceConfig
 	chaosSeed uint64
 	queue     int
@@ -479,15 +402,13 @@ type overloadOpts struct {
 	progress  bool
 }
 
-// runOverload drives the calibrate-and-sweep campaign and writes the
-// BENCH_overload.json payload.
+// runOverload drives the calibrate-and-sweep campaign and writes its
+// record.
 func runOverload(spec *traffic.Spec, observer *obs.Observer, srv *obs.Server, obsFlags *cliutil.ObsFlags, o overloadOpts) (int, error) {
 	cfg := traffic.OverloadConfig{
 		Spec:       spec,
 		Seed:       o.seed,
 		Workers:    o.workers,
-		Requests:   o.requests,
-		Multiples:  o.multiples,
 		Resilience: o.res,
 		ChaosSeed:  o.chaosSeed,
 		QueueDepth: o.queue,
@@ -526,24 +447,4 @@ func runOverload(spec *traffic.Spec, observer *obs.Observer, srv *obs.Server, ob
 		return exitInternal, err
 	}
 	return exitOK, nil
-}
-
-// parseMultiples parses the -overload-multiples list.
-func parseMultiples(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("-overload-multiples: bad multiple %q", f)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-overload-multiples: empty list")
-	}
-	return out, nil
 }

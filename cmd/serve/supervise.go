@@ -34,9 +34,8 @@ func restartCount() int64 {
 // runSupervised re-executes this binary as a worker campaign and restarts
 // it from the last checkpoint after abnormal exits — signal death (kill -9,
 // OOM kill), panics and internal errors (exit 2). Normal completion (exit
-// 0) and assertion failures (exit 1) end the loop: an assertion verdict is
-// deterministic, so a restart would only replay it. The budget bounds
-// crash-looping; each restart backs off twice as long as the last.
+// 0) ends the loop. The budget bounds crash-looping; each restart backs off
+// twice as long as the last.
 //
 // When the campaign records flight traces, each abnormal exit dumps the
 // last checkpoint's retained traces to <flightPath>.crash before the
@@ -75,7 +74,7 @@ func runSupervised(ckptPath string, maxRestarts int, flightPath string) (int, er
 		}
 
 		code, signaled := exitStatus(werr)
-		if werr == nil || interrupted || code == exitShort {
+		if werr == nil || interrupted {
 			return code, werr
 		}
 		if flightPath != "" {

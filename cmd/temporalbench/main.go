@@ -1,14 +1,16 @@
 // Command temporalbench quantifies the cost of the temporal-hardening modes:
 // it runs a fixed workload set under CECSan four times — baseline, generation
-// stamping only, address quarantine only, and both — and records the wall-time
-// and RSS-model deltas against the baseline, plus the degradation counters
-// (generation wraps, index spills, quarantine evictions/flushes), into
-// BENCH_temporal.json. The record is the quantified trade-off behind the
-// hardened profiles' defaults.
+// stamping only, address quarantine only, and both — and records the
+// RSS-model deltas against the baseline, plus the degradation counters
+// (generation wraps, index spills, quarantine evictions/flushes). Every
+// field is exact: a pure function of the workloads and the mode, so the
+// record gates by equality (cmd/benchgate against BENCH_temporal.json).
+// The record is the quantified trade-off behind the hardened profiles'
+// defaults.
 //
 // Usage:
 //
-//	temporalbench [-reps 3] [-churn 1500] [-json BENCH_temporal.json]
+//	temporalbench [-churn 1500] [-json temporal.json]
 //
 // The set is the specsim smoke workloads (a realistic operation mix) plus two
 // synthetic allocation-churn programs that maximize free-structure and
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"cecsan/csrc"
 	"cecsan/internal/cliutil"
@@ -41,11 +42,9 @@ func main() {
 // workloadJSON is one (mode, workload) measurement.
 type workloadJSON struct {
 	Name         string  `json:"name"`
-	WallSeconds  float64 `json:"wall_seconds"`
 	PeakRSS      int64   `json:"peak_rss"`
 	PeakOverhead int64   `json:"peak_overhead"`
-	WallPct      float64 `json:"wall_pct"` // overhead vs baseline, percent
-	RSSPct       float64 `json:"rss_pct"`
+	RSSPct       float64 `json:"rss_pct"` // overhead vs baseline, percent
 
 	GenWraps    int64 `json:"gen_wraps,omitempty"`
 	IndexSpills int64 `json:"index_spills,omitempty"`
@@ -59,14 +58,12 @@ type modeJSON struct {
 	GenerationBits  uint           `json:"generation_bits"`
 	IndexDelay      int            `json:"index_delay"`
 	QuarantineBytes int64          `json:"quarantine_bytes"`
-	AvgWallPct      float64        `json:"avg_wall_pct"`
 	AvgRSSPct       float64        `json:"avg_rss_pct"`
 	Workloads       []workloadJSON `json:"workloads"`
 }
 
 type benchJSON struct {
 	Bench string     `json:"bench"`
-	Reps  int        `json:"reps"`
 	Churn int        `json:"churn"`
 	Modes []modeJSON `json:"modes"`
 }
@@ -91,16 +88,9 @@ func churnSource(n, window, size int) string {
 	return b.String()
 }
 
-// measurement is the best-of-reps result for one (mode, workload) cell.
-type measurement struct {
-	wall  time.Duration
-	stats workloadJSON
-}
-
 func run() error {
-	reps := flag.Int("reps", 3, "repetitions per measurement (best-of)")
 	churn := flag.Int("churn", 1500, "allocations in each synthetic churn workload")
-	jsonPath := flag.String("json", "BENCH_temporal.json", "machine-readable record path")
+	jsonPath := flag.String("json", "", "write the machine-readable record to this path")
 	obsFlags := cliutil.ObsFlagsCmd()
 	flag.Parse()
 
@@ -145,8 +135,8 @@ func run() error {
 		{"hardened", core.HardenedOptions()},
 	}
 
-	rec := benchJSON{Bench: "temporal", Reps: *reps, Churn: *churn}
-	baseline := map[string]measurement{}
+	rec := benchJSON{Bench: "temporal", Churn: *churn}
+	baseline := map[string]int64{}
 	for _, mode := range modes {
 		opts := mode.opts
 		eng, err := engine.New(sanitizers.CECSan, engine.Options{RuntimeSeed: 1, CECSan: &opts, Obs: o})
@@ -161,51 +151,40 @@ func run() error {
 			mj.GenerationBits = core.DefaultGenerationBits
 			mj.IndexDelay = core.DefaultIndexDelay
 		}
-		var sumWall, sumRSS float64
+		var sumRSS float64
 		for _, w := range workloads {
 			p, err := w.build()
 			if err != nil {
 				return fmt.Errorf("%s: %w", w.name, err)
 			}
-			var best measurement
-			for rep := 0; rep < *reps; rep++ {
-				start := time.Now()
-				res, rerr := eng.Run(p)
-				wall := time.Since(start)
-				if rerr != nil {
-					return fmt.Errorf("%s under %s: %w", w.name, mode.name, rerr)
-				}
-				if res.Violation != nil || res.Err != nil {
-					return fmt.Errorf("%s under %s: unexpected outcome (violation=%v err=%v)",
-						w.name, mode.name, res.Violation, res.Err)
-				}
-				if rep == 0 || wall < best.wall {
-					best = measurement{wall: wall, stats: workloadJSON{
-						Name:         w.name,
-						WallSeconds:  wall.Seconds(),
-						PeakRSS:      res.Stats.PeakRSS,
-						PeakOverhead: res.Stats.PeakOverheadBytes,
-						GenWraps:     res.Stats.GenerationWraps,
-						IndexSpills:  res.Stats.IndexSpills,
-						QuarEvicts:   res.Stats.QuarantineEvictions,
-						QuarFlushes:  res.Stats.QuarantineFlushes,
-					}}
-				}
+			res, err := eng.Run(p)
+			if err != nil {
+				return fmt.Errorf("%s under %s: %w", w.name, mode.name, err)
+			}
+			if res.Violation != nil || res.Err != nil {
+				return fmt.Errorf("%s under %s: unexpected outcome (violation=%v err=%v)",
+					w.name, mode.name, res.Violation, res.Err)
+			}
+			wj := workloadJSON{
+				Name:         w.name,
+				PeakRSS:      res.Stats.PeakRSS,
+				PeakOverhead: res.Stats.PeakOverheadBytes,
+				GenWraps:     res.Stats.GenerationWraps,
+				IndexSpills:  res.Stats.IndexSpills,
+				QuarEvicts:   res.Stats.QuarantineEvictions,
+				QuarFlushes:  res.Stats.QuarantineFlushes,
 			}
 			if mode.name == "baseline" {
-				baseline[w.name] = best
-			} else if base, ok := baseline[w.name]; ok {
-				best.stats.WallPct = pct(best.wall.Seconds(), base.wall.Seconds())
-				best.stats.RSSPct = pct(float64(best.stats.PeakRSS), float64(base.stats.PeakRSS))
+				baseline[w.name] = wj.PeakRSS
+			} else {
+				wj.RSSPct = pct(float64(wj.PeakRSS), float64(baseline[w.name]))
 			}
-			sumWall += best.stats.WallPct
-			sumRSS += best.stats.RSSPct
-			mj.Workloads = append(mj.Workloads, best.stats)
+			sumRSS += wj.RSSPct
+			mj.Workloads = append(mj.Workloads, wj)
 		}
-		mj.AvgWallPct = sumWall / float64(len(workloads))
 		mj.AvgRSSPct = sumRSS / float64(len(workloads))
 		rec.Modes = append(rec.Modes, mj)
-		fmt.Printf("%-12s avg wall %+6.1f%%  avg rss %+6.1f%%\n", mode.name, mj.AvgWallPct, mj.AvgRSSPct)
+		fmt.Printf("%-12s avg rss %+6.1f%%\n", mode.name, mj.AvgRSSPct)
 	}
 
 	if *jsonPath != "" {

@@ -699,14 +699,5 @@ func (r *Runner) RunOne(seed uint64) []Finding {
 	return findings
 }
 
-// Stats exposes the per-tool engine counters for the bench record.
-func (r *Runner) Stats() map[string]engine.Stats {
-	m := make(map[string]engine.Stats, len(r.tools))
-	for i, tool := range r.tools {
-		m[string(tool)] = r.engines[i].Stats()
-	}
-	return m
-}
-
 // Tools returns the registry order the runner fans across.
 func (r *Runner) Tools() []sanitizers.Name { return r.tools }

@@ -58,8 +58,8 @@ type OverloadPoint struct {
 	Result *ServeResult `json:"result"`
 }
 
-// OverloadResult is the sweep summary (the BENCH_overload.json payload,
-// minus the run metadata cmd/serve adds).
+// OverloadResult is the sweep summary (the cmd/serve -overload -json
+// payload, minus the run metadata cmd/serve adds).
 type OverloadResult struct {
 	Seed           uint64          `json:"seed"`
 	Workers        int             `json:"workers"`

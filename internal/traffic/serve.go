@@ -114,8 +114,9 @@ type ClassStats struct {
 	MeanLatencyUS    float64 `json:"mean_latency_us"`
 }
 
-// ServeResult is the campaign summary (the BENCH_serve.json payload,
-// minus the run metadata cmd/serve adds).
+// ServeResult is the campaign summary (the cmd/serve -json payload,
+// minus the run metadata cmd/serve adds; BENCH_serve.json is its exact
+// projection).
 //
 // Accounting invariants (chaos off or on):
 //
