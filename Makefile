@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci bench-smoke bench-determinism serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
+.PHONY: all build test fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci bench-smoke bench-determinism serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
 
 all: build test
 
@@ -9,9 +9,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-race:
-	$(GO) test -race ./internal/interp/... ./internal/engine/... ./internal/core/...
 
 # Differential fuzzing smoke: a fixed-seed 200-case campaign across all
 # eight sanitizer models. Exits non-zero on any oracle disagreement, so it

@@ -14,10 +14,13 @@ import (
 const cacheShardCount = 64
 
 // DefaultCacheCapacity bounds the total instrumented programs a Cache
-// retains. Table II at full scale holds ~4k distinct shapes per tool across
-// 8 tools, so the default leaves ample headroom while bounding a hostile
-// campaign of all-distinct programs to ~tens of MB.
-const DefaultCacheCapacity = 1 << 16
+// retains. The six Table II tools on their full-scale subsets make 78,546
+// distinct (profile, fingerprint) keys, 1,030–1,432 per shard; the default
+// allows 2,048 per shard, so the whole table stays on the cached path with
+// 30% headroom on the fullest shard (TestDefaultCacheHoldsTableII pins it).
+// An instrumented Juliet program is about 2.5 KB, so a hostile campaign of
+// all-distinct programs is bounded to about 320 MiB.
+const DefaultCacheCapacity = 1 << 17
 
 // Cache is a campaign-global instrumentation cache: one instrumented program
 // per (instrumentation profile, program fingerprint), shared by any number

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"cecsan/internal/juliet"
 	"cecsan/internal/sanitizers"
 	"cecsan/prog"
 )
@@ -153,5 +154,55 @@ func TestCachePrefillAccounting(t *testing.T) {
 	}
 	if eng.cache.Len() != distinct {
 		t.Errorf("cache.Len() = %d, want %d distinct fingerprints", eng.cache.Len(), distinct)
+	}
+}
+
+// TestDefaultCacheHoldsTableII computes the (profile, fingerprint) keys the
+// six Table II tools request on their full-scale subsets — without
+// instrumenting anything — and requires that no shard of a default cache
+// would exceed its bound. A generator or profile change that pushes Table II
+// back onto the inline-instrument path fails here instead of silently
+// slowing every Juliet campaign.
+func TestDefaultCacheHoldsTableII(t *testing.T) {
+	suite, err := juliet.Suite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(0)
+	subsets := map[sanitizers.Name]func(*juliet.Case) bool{
+		sanitizers.CECSan:    func(*juliet.Case) bool { return true },
+		sanitizers.PACMem:    juliet.SubsetPACMem,
+		sanitizers.CryptSan:  juliet.SubsetCryptSan,
+		sanitizers.HWASan:    func(*juliet.Case) bool { return true },
+		sanitizers.ASan:      func(*juliet.Case) bool { return true },
+		sanitizers.SoftBound: juliet.SubsetSoftBound,
+	}
+	var perShard [cacheShardCount]map[cacheKey]bool
+	for i := range perShard {
+		perShard[i] = make(map[cacheKey]bool)
+	}
+	for tool, include := range subsets {
+		eng, err := New(tool, Options{Cache: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range suite {
+			if !include(cs) {
+				continue
+			}
+			for _, p := range []*prog.Program{cs.Bad, cs.Good} {
+				fp := p.Fingerprint()
+				perShard[fp[0]&(cacheShardCount-1)][cacheKey{pid: eng.pid, fp: fp}] = true
+			}
+		}
+	}
+	keys, fullest := 0, 0
+	for _, m := range perShard {
+		keys += len(m)
+		fullest = max(fullest, len(m))
+	}
+	t.Logf("%d keys, fullest shard %d of %d", keys, fullest, c.capPerShard)
+	if fullest > c.capPerShard {
+		t.Fatalf("Table II needs %d entries in one shard; the default cache holds %d per shard", fullest, c.capPerShard)
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"sync"
 	"testing"
 
+	"cecsan/internal/alloc"
 	"cecsan/internal/instrument"
 	"cecsan/internal/interp"
 	"cecsan/internal/juliet"
+	"cecsan/internal/mem"
+	"cecsan/internal/rt"
 	"cecsan/internal/sanitizers"
 	"cecsan/prog"
 )
@@ -248,12 +251,27 @@ func TestRuntimeRecycling(t *testing.T) {
 		m.Release()
 		return rt
 	}
+	// recycles reports whether any of 16 sequential machines gets the
+	// runtime its predecessor released. sync.Pool may drop any Put (under
+	// the race detector it drops one in four on purpose), so a single pair
+	// of machines proves nothing either way.
+	recycles := func(e *Engine) bool {
+		prev := runOnce(e)
+		for i := 0; i < 16; i++ {
+			next := runOnce(e)
+			if next == prev {
+				return true
+			}
+			prev = next
+		}
+		return false
+	}
 
 	cec, err := New(sanitizers.CECSan, Options{})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
 	}
-	if first, second := runOnce(cec), runOnce(cec); first != second {
+	if !recycles(cec) {
 		t.Error("CECSan engine did not recycle the runtime across sequential machines")
 	}
 
@@ -261,7 +279,7 @@ func TestRuntimeRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
 	}
-	if first, second := runOnce(hw), runOnce(hw); first != second {
+	if !recycles(hw) {
 		t.Error("HWASan engine did not recycle the runtime; ResetRuntime rewinds the tag RNG, so pooling is safe")
 	}
 
@@ -269,7 +287,7 @@ func TestRuntimeRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
 	}
-	if first, second := runOnce(fresh), runOnce(fresh); first == second {
+	if recycles(fresh) {
 		t.Error("FreshRuntime engine recycled a runtime; perf mode must rebuild per machine")
 	}
 }
@@ -317,5 +335,112 @@ func TestHardenedPooledByteIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPooledShadowResetAtChunkEnd pins the dirty-prefix reset of the
+// sanitizers' shadow stores: a first run writes ASan shadow (HWASan tags)
+// through the last byte of the heap's first shadow chunks, and a second run
+// on the same runtime, recycled the way the engine pool recycles it
+// (ResetRuntime, then attach to the next machine), loads from the last
+// granule of each of those chunks without writing their shadow. Recycled
+// chunks may land at any index, so every chunk's last byte is read. Stale
+// shadow would flip the second run's verdict, so it must match a fresh
+// runtime's run in result and stats.
+func TestPooledShadowResetAtChunkEnd(t *testing.T) {
+	for _, tc := range []struct {
+		tool     sanitizers.Name
+		granule  uint64
+		free     bool // poison the block (ASan); HWASan keeps its tag
+		freshHit bool // whether a fresh runtime reports the load
+	}{
+		{sanitizers.ASan, 8, true, false},
+		{sanitizers.HWASan, 16, false, true},
+	} {
+		t.Run(string(tc.tool), func(t *testing.T) {
+			// One shadow chunk covers ChunkSize granules, and the heap's
+			// shadow starts at a chunk boundary, so the shadow byte of
+			// last(k) is the last byte of the heap's k-th shadow chunk.
+			span := mem.ChunkSize * tc.granule
+			last := func(k uint64) uint64 { return alloc.HeapBase + k*span - tc.granule }
+
+			pb := prog.NewProgram()
+			f := pb.Function("main", 0)
+			p := f.MallocBytes(int64(2 * span))
+			if tc.free {
+				f.Free(p)
+			}
+			f.Ret(p)
+			writer := pb.MustBuild()
+
+			san, err := sanitizers.New(tc.tool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(p *prog.Program) *interp.Result {
+				m, err := interp.New(instrument.Apply(p, san.Profile), san, interp.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.Run()
+			}
+			res := run(writer)
+			if res.Err != nil || res.Violation != nil {
+				t.Fatalf("writer: %v %v", res.Err, res.Violation)
+			}
+			const addrMask = uint64(1)<<56 - 1
+			if base := uint64(res.Ret) & addrMask; last(1) < base || last(2) >= base+2*span {
+				t.Fatalf("block %#x..+%#x does not cover %#x and %#x", base, 2*span, last(1), last(2))
+			}
+			san.Runtime.(rt.Resettable).ResetRuntime()
+
+			pb = prog.NewProgram()
+			f = pb.Function("main", 0)
+			sum := f.Const(0)
+			for k := uint64(1); k <= 3; k++ {
+				ptr := uint64(res.Ret)&^addrMask | last(k) // keep the block's tag
+				sum = f.Add(sum, f.Load(f.Const(int64(ptr)), 0, prog.Int64T()))
+			}
+			f.Ret(sum)
+			reader := pb.MustBuild()
+
+			got := run(reader)
+			want := uncachedRun(t, tc.tool, reader, nil)
+			if (want.Violation != nil) != tc.freshHit {
+				t.Fatalf("fresh reader violation = %v, want reported = %v", want.Violation, tc.freshHit)
+			}
+			if !sameResult(got, want) {
+				t.Fatalf("recycled reader = %+v (violation %v), fresh = %+v (violation %v)", got.Stats, got.Violation, want.Stats, want.Violation)
+			}
+		})
+	}
+}
+
+// BenchmarkPooledCase is the per-run fixed cost of a Juliet-sized program:
+// NewMachine, Run and Release of one case on a warm cache and warm pools.
+func BenchmarkPooledCase(b *testing.B) {
+	cs, err := juliet.Generate(juliet.AllCWEs()[0], 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, inputs := cs[0].Bad, cs[0].BadInputs
+	for _, tool := range []sanitizers.Name{sanitizers.CECSan, sanitizers.HWASan, sanitizers.ASan} {
+		b.Run(string(tool), func(b *testing.B) {
+			eng, err := New(tool, Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.Preinstrument([]*prog.Program{p})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := eng.NewMachine(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Feed(inputs...)
+				m.Run()
+				m.Release()
+			}
+		})
 	}
 }

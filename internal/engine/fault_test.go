@@ -328,6 +328,38 @@ func TestWallBudgetFault(t *testing.T) {
 	}
 }
 
+// TestWallBudgetOnCondBrBackedge drives the watchdog into a loop whose only
+// backedge is a conditional branch (the builder's loops close with an
+// unconditional one): the interrupt must still surface as the wall-budget
+// cause, not as a cross-thread abort.
+func TestWallBudgetOnCondBrBackedge(t *testing.T) {
+	pb := prog.NewProgram()
+	f := pb.Function("main", 0)
+	one := f.Const(1)
+	head := len(f.Fn().Code)
+	x := f.Add(one, one)
+	f.Fn().Code = append(f.Fn().Code, prog.Instr{Op: prog.OpCondBr, A: one, Dst: prog.NoReg, B: prog.NoReg, Imm: int64(head)})
+	f.Ret(x)
+	looper, err := pb.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	eng, err := New(sanitizers.CECSan, Options{WallBudget: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	res, rerr := eng.Run(looper)
+	if rerr != nil {
+		t.Fatalf("Run: %v", rerr)
+	}
+	if !errors.Is(res.Err, interp.ErrWallBudget) {
+		t.Fatalf("err = %v, want ErrWallBudget", res.Err)
+	}
+	if fo := AsFault(res.Err); fo == nil || fo.Class != FaultWallBudget {
+		t.Fatalf("err = %v, want FaultWallBudget outcome", res.Err)
+	}
+}
+
 // TestHeapBudgetFault bounds live simulated heap: a leak loop trips the
 // budget and is classified FaultHeapBudget.
 func TestHeapBudgetFault(t *testing.T) {

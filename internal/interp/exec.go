@@ -236,7 +236,7 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 					}
 					if m.aborted.Load() {
 						epilogue()
-						return 0, rt.PtrMeta{}, &abort{err: errAbortedElsewhere}
+						return 0, rt.PtrMeta{}, th.abortCause()
 					}
 				}
 				pc = tgt

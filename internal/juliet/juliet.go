@@ -19,6 +19,7 @@
 package juliet
 
 import (
+	"bytes"
 	"fmt"
 
 	"cecsan/internal/splitmix"
@@ -351,13 +352,12 @@ func registerCommonGlobals(pb *prog.ProgramBuilder, d dims) {
 	pb.Global("g_src", prog.ArrayOf(prog.Char(), 4096))
 	// A NUL-terminated string exactly 7 chars long for strcpy good paths.
 	pb.GlobalBytes("g_short", []byte("short67"))
-	// A long string for strcpy bad paths: longer than any buffer variant.
-	long := make([]byte, 2000)
-	for i := range long {
-		long[i] = 'A'
-	}
-	pb.GlobalBytes("g_long", long)
+	pb.GlobalBytes("g_long", gLong)
 }
+
+// gLong is g_long's initializer, a string for strcpy bad paths that is
+// longer than any buffer variant. Every case program shares this one slice.
+var gLong = bytes.Repeat([]byte{'A'}, 2000)
 
 // Suite generates the full Table I suite.
 func Suite() ([]*Case, error) {

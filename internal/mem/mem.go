@@ -20,11 +20,7 @@
 // simulated program, as on real memory.
 package mem
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // ChunkBits is the log2 of the chunk size. Chunks are 64 KiB: small enough
 // that the RSS model tracks footprints at sub-megabyte granularity, large
@@ -40,10 +36,7 @@ const SpanBits = 32
 // SpanSize is the size of the mappable span in bytes.
 const SpanSize = uint64(1) << SpanBits
 
-const (
-	chunkMask = ChunkSize - 1
-	numChunks = SpanSize >> ChunkBits
-)
+const chunkMask = ChunkSize - 1
 
 // Fault describes a raw-memory access error (address outside the mapped
 // span, e.g. a dereference of a pointer whose tag bits were never stripped).
@@ -72,39 +65,10 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("SIGSEGV: wild %s of %d bytes at unmapped address %#x", op, f.Size, f.Addr)
 }
 
-type chunk [ChunkSize]byte
-
-// Space is a sparse simulated address space.
+// Space is a sparse simulated address space over a ChunkStore.
 type Space struct {
 	addrBits uint // canonical pointer address width (47 or 48)
-
-	chunks  []atomic.Pointer[chunk]
-	touched atomic.Int64 // number of materialized chunks
-
-	// dirtyHi[i] is the exclusive high-water mark of bytes written into
-	// chunk i since the last Reset, maintained with a CAS-max so parallel
-	// regions can store concurrently. Reset zeroes only c[:dirtyHi[i]] —
-	// bytes past the mark were never written and are still zero.
-	dirtyHi []atomic.Int32
-
-	// spare holds zeroed chunks recycled by Reset, so a pooled space
-	// re-materializes pages without fresh 64 KiB allocations. Only touched
-	// by Reset and the (post-Reset, single-goroutine) first faults, but a
-	// mutex keeps concurrent faulting safe anyway.
-	spareMu sync.Mutex
-	spare   []*chunk
-
-	// touchedIdx records the chunk-table index of every materialized chunk
-	// since the last Reset, so Reset walks only the handful of live chunks
-	// instead of all numChunks table slots. Guarded by spareMu;
-	// materialization is rare (first touch per chunk per run), so the lock
-	// is far off the access fast path.
-	touchedIdx []uint32
-
-	// faultHook, when set, is consulted before each first-touch chunk
-	// materialization; returning true fails the mapping (the access gets an
-	// injected Fault). Reset clears it.
-	faultHook atomic.Pointer[func() bool]
+	store    ChunkStore
 }
 
 // NewSpace returns an empty space with the given canonical pointer width in
@@ -114,11 +78,9 @@ func NewSpace(addrBits uint) (*Space, error) {
 	if addrBits < SpanBits || addrBits > 57 {
 		return nil, fmt.Errorf("mem: address width %d out of range [%d,57]", addrBits, SpanBits)
 	}
-	return &Space{
-		addrBits: addrBits,
-		chunks:   make([]atomic.Pointer[chunk], numChunks),
-		dirtyHi:  make([]atomic.Int32, numChunks),
-	}, nil
+	s := &Space{addrBits: addrBits}
+	s.store.init(SpanSize)
+	return s, nil
 }
 
 // AddrBits returns the canonical pointer width of the space.
@@ -130,104 +92,24 @@ func (s *Space) Canonical(addr uint64) bool { return addr < uint64(1)<<s.addrBit
 
 // TouchedBytes returns the simulated resident set size: the total bytes of
 // materialized chunks.
-func (s *Space) TouchedBytes() int64 { return s.touched.Load() * ChunkSize }
-
-// chunkFor returns the chunk containing addr, materializing it on first
-// touch. addr must be below SpanSize. It returns nil only when the fault
-// hook vetoes the materialization (injected mmap failure): callers turn that
-// into an injected Fault.
-func (s *Space) chunkFor(addr uint64) *chunk {
-	idx := addr >> ChunkBits
-	if c := s.chunks[idx].Load(); c != nil {
-		return c
-	}
-	if hook := s.faultHook.Load(); hook != nil && (*hook)() {
-		return nil
-	}
-	c := s.newChunk()
-	if s.chunks[idx].CompareAndSwap(nil, c) {
-		s.touched.Add(1)
-		s.spareMu.Lock()
-		s.touchedIdx = append(s.touchedIdx, uint32(idx))
-		s.spareMu.Unlock()
-		return c
-	}
-	s.recycle(c)
-	return s.chunks[idx].Load()
-}
-
-// newChunk returns a zeroed chunk, reusing one recycled by Reset if any.
-func (s *Space) newChunk() *chunk {
-	s.spareMu.Lock()
-	if n := len(s.spare); n > 0 {
-		c := s.spare[n-1]
-		s.spare = s.spare[:n-1]
-		s.spareMu.Unlock()
-		return c
-	}
-	s.spareMu.Unlock()
-	return new(chunk)
-}
-
-// recycle returns a zeroed chunk to the spare list.
-func (s *Space) recycle(c *chunk) {
-	s.spareMu.Lock()
-	s.spare = append(s.spare, c)
-	s.spareMu.Unlock()
-}
+func (s *Space) TouchedBytes() int64 { return s.store.TouchedBytes() }
 
 // Reset returns the space to its freshly-constructed state: every
-// materialized chunk is unmapped (and kept, zeroed, for reuse) and the
-// touched-page gauge drops to zero. The caller must guarantee no machine is
-// still using the space. A reset space behaves byte-for-byte like a new one
-// — including the RSS model, which counts pages from zero again.
-func (s *Space) Reset() {
-	s.spareMu.Lock()
-	idxs := s.touchedIdx
-	s.touchedIdx = s.touchedIdx[:0]
-	s.spareMu.Unlock()
-	for _, i := range idxs {
-		c := s.chunks[i].Swap(nil)
-		if c == nil {
-			continue
-		}
-		if hi := s.dirtyHi[i].Swap(0); hi > 0 {
-			clear(c[:hi])
-		}
-		s.recycle(c)
-	}
-	s.touched.Store(0)
-	s.faultHook.Store(nil)
-}
+// materialized chunk is unmapped (and kept, zeroed, for reuse), the
+// touched-page gauge drops to zero and the fault hook is removed. The caller
+// must guarantee no machine is still using the space. A reset space behaves
+// byte-for-byte like a new one — including the RSS model, which counts pages
+// from zero again.
+func (s *Space) Reset() { s.store.Reset() }
 
-// SetFaultHook installs (or, with nil, removes) the chunk-materialization
-// fault hook. The caller must not race it with accesses.
-func (s *Space) SetFaultHook(f func() bool) {
-	if f == nil {
-		s.faultHook.Store(nil)
-		return
-	}
-	s.faultHook.Store(&f)
-}
+// SetFaultHook installs (or, with nil, removes) a hook consulted before each
+// first-touch chunk materialization; returning true fails the mapping and
+// the access gets an injected Fault. The caller must not race it with
+// accesses.
+func (s *Space) SetFaultHook(f func() bool) { s.store.SetFaultHook(f) }
 
 func (s *Space) inSpan(addr uint64, size int64) bool {
 	return addr < SpanSize && size >= 0 && addr+uint64(size) <= SpanSize
-}
-
-// noteDirty raises chunk idx's dirty high-water mark to at least end (an
-// in-chunk byte offset, exclusive). The common case — the mark already
-// covers end — is one atomic load.
-func (s *Space) noteDirty(idx uint64, end int64) {
-	h := &s.dirtyHi[idx]
-	for {
-		cur := h.Load()
-		if int64(cur) >= end {
-			return
-		}
-		if h.CompareAndSwap(cur, int32(end)) {
-			return
-		}
-	}
 }
 
 // Load reads size bytes (1, 2, 4 or 8) at addr, little-endian, zero-extended.
@@ -237,7 +119,7 @@ func (s *Space) Load(addr uint64, size int64) (uint64, *Fault) {
 	}
 	off := addr & chunkMask
 	if off+uint64(size) <= ChunkSize {
-		c := s.chunkFor(addr)
+		c := s.store.chunk(addr >> ChunkBits)
 		if c == nil {
 			return 0, &Fault{Addr: addr, Size: size, Injected: true}
 		}
@@ -256,11 +138,12 @@ func (s *Space) Load(addr uint64, size int64) (uint64, *Fault) {
 	// Slow path: crosses a chunk boundary or odd size.
 	var v uint64
 	for i := int64(0); i < size; i++ {
-		c := s.chunkFor(addr + uint64(i))
+		a := addr + uint64(i)
+		c := s.store.chunk(a >> ChunkBits)
 		if c == nil {
-			return 0, &Fault{Addr: addr + uint64(i), Size: size, Injected: true}
+			return 0, &Fault{Addr: a, Size: size, Injected: true}
 		}
-		v |= uint64(c[(addr+uint64(i))&chunkMask]) << (8 * uint(i))
+		v |= uint64(c[a&chunkMask]) << (8 * uint(i))
 	}
 	return v, nil
 }
@@ -272,11 +155,11 @@ func (s *Space) Store(addr uint64, size int64, val uint64) *Fault {
 	}
 	off := addr & chunkMask
 	if off+uint64(size) <= ChunkSize {
-		c := s.chunkFor(addr)
+		c := s.store.chunk(addr >> ChunkBits)
 		if c == nil {
 			return &Fault{Addr: addr, Size: size, Wr: true, Injected: true}
 		}
-		s.noteDirty(addr>>ChunkBits, int64(off)+size)
+		s.store.noteDirty(addr>>ChunkBits, int64(off)+size)
 		switch size {
 		case 1:
 			c[off] = byte(val)
@@ -295,11 +178,11 @@ func (s *Space) Store(addr uint64, size int64, val uint64) *Fault {
 	}
 	for i := int64(0); i < size; i++ {
 		a := addr + uint64(i)
-		c := s.chunkFor(a)
+		c := s.store.chunk(a >> ChunkBits)
 		if c == nil {
 			return &Fault{Addr: a, Size: size, Wr: true, Injected: true}
 		}
-		s.noteDirty(a>>ChunkBits, int64(a&chunkMask)+1)
+		s.store.noteDirty(a>>ChunkBits, int64(a&chunkMask)+1)
 		c[a&chunkMask] = byte(val >> (8 * uint(i)))
 	}
 	return nil
@@ -311,14 +194,8 @@ func (s *Space) ReadBytes(addr uint64, n int64) ([]byte, *Fault) {
 		return nil, &Fault{Addr: addr, Size: n}
 	}
 	out := make([]byte, n)
-	var done int64
-	for done < n {
-		a := addr + uint64(done)
-		c := s.chunkFor(a)
-		if c == nil {
-			return nil, &Fault{Addr: a, Size: n, Injected: true}
-		}
-		done += int64(copy(out[done:], c[a&chunkMask:]))
+	if done := s.store.Read(addr, out); done < n {
+		return nil, &Fault{Addr: addr + uint64(done), Size: n, Injected: true}
 	}
 	return out, nil
 }
@@ -329,16 +206,8 @@ func (s *Space) WriteBytes(addr uint64, b []byte) *Fault {
 	if !s.inSpan(addr, n) {
 		return &Fault{Addr: addr, Size: n, Wr: true}
 	}
-	var done int64
-	for done < n {
-		a := addr + uint64(done)
-		c := s.chunkFor(a)
-		if c == nil {
-			return &Fault{Addr: a, Size: n, Wr: true, Injected: true}
-		}
-		w := int64(copy(c[a&chunkMask:], b[done:]))
-		s.noteDirty(a>>ChunkBits, int64(a&chunkMask)+w)
-		done += w
+	if done := s.store.Write(addr, b); done < n {
+		return &Fault{Addr: addr + uint64(done), Size: n, Wr: true, Injected: true}
 	}
 	return nil
 }
@@ -361,24 +230,8 @@ func (s *Space) Set(addr uint64, v byte, n int64) *Fault {
 	if !s.inSpan(addr, n) {
 		return &Fault{Addr: addr, Size: n, Wr: true}
 	}
-	var done int64
-	for done < n {
-		a := addr + uint64(done)
-		c := s.chunkFor(a)
-		if c == nil {
-			return &Fault{Addr: a, Size: n, Wr: true, Injected: true}
-		}
-		off := a & chunkMask
-		end := int64(ChunkSize) - int64(off)
-		if end > n-done {
-			end = n - done
-		}
-		s.noteDirty(a>>ChunkBits, int64(off)+end)
-		seg := c[off : int64(off)+end]
-		for i := range seg {
-			seg[i] = v
-		}
-		done += end
+	if done := s.store.Fill(addr, n, v); done < n {
+		return &Fault{Addr: addr + uint64(done), Size: n, Wr: true, Injected: true}
 	}
 	return nil
 }

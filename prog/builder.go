@@ -29,9 +29,11 @@ func (pb *ProgramBuilder) GlobalInit(name string, t *Type, v int64) {
 
 // GlobalBytes declares a global initialized with the given bytes (a string
 // literal in the data segment). The type is char[len(b)+1], NUL-terminated.
+// The program keeps b, so programs built from one initializer share it: the
+// caller must not modify b afterwards.
 func (pb *ProgramBuilder) GlobalBytes(name string, b []byte) {
 	t := ArrayOf(Char(), int64(len(b))+1)
-	pb.prog.Globals = append(pb.prog.Globals, GlobalSpec{Name: name, Type: t, InitBytes: append([]byte(nil), b...)})
+	pb.prog.Globals = append(pb.prog.Globals, GlobalSpec{Name: name, Type: t, InitBytes: b})
 }
 
 // GlobalUnsafe declares an address-taken global, which the instrumentation
