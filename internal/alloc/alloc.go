@@ -39,6 +39,9 @@ const (
 	HeapLimit uint64 = 4096 << 20
 	// ThreadStackSize is the size of one thread's stack.
 	ThreadStackSize uint64 = 8 << 20
+	// MaxThreads is the number of thread stacks the stack region holds:
+	// thread ids 0 (the main thread) to MaxThreads-1.
+	MaxThreads = int((StackLimit - StackBase) / ThreadStackSize)
 )
 
 // Align is the allocation alignment guarantee, matching glibc's 16 bytes.

@@ -38,20 +38,14 @@ type Cache struct {
 	capPerShard int
 	shards      [cacheShardCount]cacheShard
 
-	// profMu guards the profile registry. Profile configurations (the
-	// rt.Profile plus the instrument-time fusion flag — everything that
-	// shapes the instrumented output besides the program) are interned to a
-	// compact id so shard keys hash a (uint32, [16]byte) pair instead of the
-	// full rt.Profile struct.
+	// profMu guards the profile registry. Profiles (everything that shapes
+	// the instrumented output besides the program) are interned to a compact
+	// id so shard keys hash a (uint32, [16]byte) pair instead of the full
+	// rt.Profile struct.
 	profMu    sync.Mutex
-	profIDs   map[profConfig]uint32
+	profIDs   map[rt.Profile]uint32
 	prefills  atomic.Int64
 	overflows atomic.Int64
-}
-
-type profConfig struct {
-	profile rt.Profile
-	fused   bool
 }
 
 type cacheShard struct {
@@ -83,24 +77,22 @@ func NewCache(capacity int) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	c := &Cache{capPerShard: per, profIDs: make(map[profConfig]uint32)}
+	c := &Cache{capPerShard: per, profIDs: make(map[rt.Profile]uint32)}
 	for i := range c.shards {
 		c.shards[i].m = make(map[cacheKey]*cacheEntry)
 	}
 	return c
 }
 
-// profileID interns a profile configuration, assigning ids in first-seen
-// order.
-func (c *Cache) profileID(p rt.Profile, fused bool) uint32 {
-	pc := profConfig{profile: p, fused: fused}
+// profileID interns a profile, assigning ids in first-seen order.
+func (c *Cache) profileID(p rt.Profile) uint32 {
 	c.profMu.Lock()
 	defer c.profMu.Unlock()
-	if id, ok := c.profIDs[pc]; ok {
+	if id, ok := c.profIDs[p]; ok {
 		return id
 	}
 	id := uint32(len(c.profIDs))
-	c.profIDs[pc] = id
+	c.profIDs[p] = id
 	return id
 }
 

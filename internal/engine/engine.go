@@ -117,9 +117,9 @@ type Options struct {
 	// Table II campaign). Nil gives the engine a private cache of
 	// DefaultCacheCapacity — the pre-campaign-cache behaviour.
 	Cache *Cache
-	// DisableFusion turns off the check+access superinstruction fusion pass
-	// for this engine's instrumented programs (equivalence testing; fused
-	// and unfused execution are semantically identical).
+	// DisableFusion makes this engine's machines decode programs without
+	// superinstructions (equivalence testing; fused and unfused execution
+	// are observationally identical).
 	DisableFusion bool
 }
 
@@ -202,6 +202,7 @@ func New(tool sanitizers.Name, opts Options) (*Engine, error) {
 	if opts.Seed != 0 {
 		iopts.Seed = opts.Seed
 	}
+	iopts.DisableFusion = opts.DisableFusion
 	cache := opts.Cache
 	if cache == nil {
 		cache = NewCache(0)
@@ -212,7 +213,7 @@ func New(tool sanitizers.Name, opts Options) (*Engine, error) {
 		profile:    profile,
 		interpOpts: iopts,
 		cache:      cache,
-		pid:        cache.profileID(profile, !opts.DisableFusion),
+		pid:        cache.profileID(profile),
 	}
 	if o := opts.Obs; o != nil {
 		if o.Sites != nil {
@@ -363,9 +364,6 @@ func (e *Engine) instrument(p *prog.Program, prefill bool) *prog.Program {
 func (e *Engine) apply(p *prog.Program) *prog.Program {
 	start := time.Now()
 	ip := instrument.Apply(p, e.profile)
-	if !e.opts.DisableFusion {
-		instrument.Fuse(ip)
-	}
 	e.instrumentNS.Add(time.Since(start).Nanoseconds())
 	return ip
 }

@@ -9,23 +9,49 @@ import (
 	"cecsan/internal/engine"
 	"cecsan/internal/interp"
 	"cecsan/internal/sanitizers"
+	"cecsan/internal/specsim"
 	"cecsan/internal/splitmix"
+	"cecsan/prog"
 )
 
 // TestFusedMatchesUnfused is the superinstruction equivalence property:
-// across a seeded generated corpus and a spread of sanitizer models, an
-// engine with check/access fusion enabled (the default) and one with
-// -DisableFusion must be observationally identical — same violation, fault,
-// error and return value, and the same complete interp.Stats (fusion
-// advances the instruction counter for the fused tail, executes the same
-// check, and charges the same allocator traffic, so even ChecksExecuted,
-// DegradedAllocs and the temporal counters match exactly).
+// across a seeded generated corpus plus the specsim smoke programs (the
+// parallel x264 and nab included) and a spread of sanitizer models, an
+// engine whose machines decode superinstructions (the default) and one with
+// DisableFusion must be observationally identical — same violation, fault,
+// error and return value, and the same complete interp.Stats (a
+// superinstruction advances the instruction counter by its length, executes
+// the same checks, and charges the same allocator traffic, so even
+// ChecksExecuted, DegradedAllocs and the temporal counters match exactly).
+// Every superinstruction must be formed somewhere in the corpus, so the
+// property cannot hold vacuously.
 func TestFusedMatchesUnfused(t *testing.T) {
 	tools := []sanitizers.Name{
-		sanitizers.CECSan, sanitizers.CECSanHardened, sanitizers.ASan,
-		sanitizers.HWASan, sanitizers.SoftBound,
+		sanitizers.Native, sanitizers.CECSan, sanitizers.CECSanHardened,
+		sanitizers.ASan, sanitizers.HWASan, sanitizers.SoftBound,
 	}
 	const seed, corpus = 0xF05E, 80
+
+	type program struct {
+		name   string
+		p      *prog.Program
+		inputs [][]byte
+	}
+	var progs []program
+	for i := 0; i < corpus; i++ {
+		c := Generate(splitmix.Derive(seed, uint64(i)))
+		p, err := csrc.Compile(c.Source)
+		if err != nil {
+			continue // generator emitted a shape this tool set can't compile; fine
+		}
+		progs = append(progs, program{fmt.Sprintf("seed %d", i), p, c.Inputs})
+	}
+	if len(progs) == 0 {
+		t.Fatal("corpus compiled zero cases; the property was never exercised")
+	}
+	for _, w := range specsim.Smoke() {
+		progs = append(progs, program{w.Name, w.Build(), nil})
+	}
 
 	mk := func(tool sanitizers.Name, disable bool) *engine.Engine {
 		eng, err := engine.New(tool, engine.Options{
@@ -37,40 +63,44 @@ func TestFusedMatchesUnfused(t *testing.T) {
 		return eng
 	}
 
+	formed := map[string]int{}
 	for _, tool := range tools {
+		profile, err := sanitizers.ProfileFor(tool)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(string(tool), func(t *testing.T) {
 			fused, unfused := mk(tool, false), mk(tool, true)
-			compiled := 0
-			for i := 0; i < corpus; i++ {
-				c := Generate(splitmix.Derive(seed, uint64(i)))
-				p, err := csrc.Compile(c.Source)
-				if err != nil {
-					continue // generator emitted a shape this tool set can't compile; fine
+			for _, c := range progs {
+				for name, n := range interp.Superinstructions(fused.Instrument(c.p), profile) {
+					formed[name] += n
 				}
-				compiled++
-				rf, err := fused.Run(p, c.Inputs...)
+				rf, err := fused.Run(c.p, c.inputs...)
 				if err != nil {
-					t.Fatalf("seed %d fused run: %v", i, err)
+					t.Fatalf("%s fused run: %v", c.name, err)
 				}
-				ru, err := unfused.Run(p, c.Inputs...)
+				ru, err := unfused.Run(c.p, c.inputs...)
 				if err != nil {
-					t.Fatalf("seed %d unfused run: %v", i, err)
+					t.Fatalf("%s unfused run: %v", c.name, err)
 				}
 				if rf.Stats != ru.Stats {
-					t.Fatalf("seed %d: stats diverge under fusion\nfused:   %+v\nunfused: %+v", i, rf.Stats, ru.Stats)
+					t.Fatalf("%s: stats diverge under fusion\nfused:   %+v\nunfused: %+v", c.name, rf.Stats, ru.Stats)
 				}
 				if rf.Ret != ru.Ret {
-					t.Fatalf("seed %d: return value %d (fused) vs %d (unfused)", i, rf.Ret, ru.Ret)
+					t.Fatalf("%s: return value %d (fused) vs %d (unfused)", c.name, rf.Ret, ru.Ret)
 				}
 				if got, want := render(rf), render(ru); got != want {
-					t.Fatalf("seed %d: outcome diverges under fusion\nfused:   %s\nunfused: %s", i, got, want)
+					t.Fatalf("%s: outcome diverges under fusion\nfused:   %s\nunfused: %s", c.name, got, want)
 				}
-			}
-			if compiled == 0 {
-				t.Fatal("corpus compiled zero cases; the property was never exercised")
 			}
 		})
 	}
+	for name, n := range formed {
+		if n == 0 {
+			t.Errorf("superinstruction %s is never formed in the corpus", name)
+		}
+	}
+	t.Logf("superinstructions formed: %v", formed)
 }
 
 // render flattens a result's externally visible outcome — the report, crash

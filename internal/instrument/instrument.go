@@ -239,3 +239,8 @@ func instrumentFunc(f *prog.Func, profile rt.Profile, globalSizes map[string]int
 	}
 	rw.finish()
 }
+
+// Fuse does nothing and is kept for callers that ran it after Apply:
+// superinstructions are formed when a machine decodes the program
+// (internal/interp), so instrumented programs carry no fusion table.
+func Fuse(*prog.Program) {}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -82,10 +83,14 @@ type trackedObj struct {
 	size int64
 }
 
-// call executes function fi of the machine's link in the register window
-// regs (and, when per-pointer metadata is tracked, metas), which the caller
-// carved with frame and filled with the arguments; the caller also pops the
-// window afterwards. It returns the result value/meta or an abort.
+// call executes function fi of the machine's decoded code in the register
+// window regs (and, when per-pointer metadata is tracked, metas), which the
+// caller carved with frame and filled with the arguments; the caller also
+// pops the window afterwards. It returns the result value/meta or an abort.
+//
+// steps counts source instructions, so a superinstruction adds its length;
+// the budget and the instruction counter are charged with them at every
+// backedge (a branch to its own pc or earlier) and at return.
 func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (uint64, rt.PtrMeta, *abort) {
 	if depth > th.m.opts.MaxCallDepth {
 		return 0, rt.PtrMeta{}, &abort{err: ErrCallDepth}
@@ -98,151 +103,113 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 	m := th.m
 	run := m.san.Runtime
 	mask := m.addrMask
-	fn, targets := m.link.Funcs[fi].Func, m.link.Funcs[fi].Targets
+	f := &m.code[fi]
+	ops := f.ops
 
 	frameMark := th.stack.Mark()
 	var tracked []trackedObj
-	// epilogue releases tracked stack objects' metadata and pops the
-	// simulated stack frame.
-	epilogue := func() {
-		for _, ob := range tracked {
-			run.StackRelease(ob.ptr, ob.size)
-		}
-		th.stack.Release(frameMark)
-	}
-
-	code := fn.Code
+	var ab *abort
 	pc := 0
 	steps := int64(0)
 
-	for pc < len(code) {
-		in := &code[pc]
-		steps++
-		switch in.Op {
-		case prog.OpConst:
-			regs[in.Dst] = uint64(in.Imm)
-		case prog.OpMov:
-			regs[in.Dst] = regs[in.A]
-			if metas != nil {
-				metas[in.Dst] = metas[in.A]
-			}
-		case prog.OpBin:
-			a, b := regs[in.A], regs[in.B]
-			var v uint64
-			switch prog.BinOp(in.X) {
-			case prog.BinAdd:
-				v = a + b
-			case prog.BinSub:
-				v = a - b
-			case prog.BinMul:
-				v = a * b
-			case prog.BinDiv:
-				if b == 0 {
-					epilogue()
-					return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: SIGFPE: division by zero in %s@%d", fn.Name, pc)}
+	for {
+		o := &ops[pc]
+		steps += int64(o.n)
+		switch o.code {
+		case opNop:
+		case opConst:
+			regs[o.dst] = uint64(o.x)
+		case opMov:
+			regs[o.dst] = regs[o.a]
+		case opMovMeta:
+			regs[o.dst] = regs[o.a]
+			metas[o.dst] = metas[o.a]
+		case opAdd:
+			regs[o.dst] = regs[o.a] + regs[o.b]
+		case opSub:
+			regs[o.dst] = regs[o.a] - regs[o.b]
+		case opMul:
+			regs[o.dst] = regs[o.a] * regs[o.b]
+		case opDiv, opRem:
+			a, b := int64(regs[o.a]), int64(regs[o.b])
+			if b == 0 {
+				what := "division"
+				if o.code == opRem {
+					what = "remainder"
 				}
-				v = uint64(int64(a) / int64(b))
-			case prog.BinRem:
-				if b == 0 {
-					epilogue()
-					return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: SIGFPE: remainder by zero in %s@%d", fn.Name, pc)}
-				}
-				v = uint64(int64(a) % int64(b))
-			case prog.BinAnd:
-				v = a & b
-			case prog.BinOr:
-				v = a | b
-			case prog.BinXor:
-				v = a ^ b
-			case prog.BinShl:
-				v = a << (b & 63)
-			case prog.BinShr:
-				v = a >> (b & 63)
+				ab = &abort{err: fmt.Errorf("interp: SIGFPE: %s by zero in %s@%d", what, f.name, pc)}
+				goto fail
 			}
-			regs[in.Dst] = v
-			if metas != nil {
-				// Pointer ± integer keeps the operand's per-pointer metadata:
-				// the derived pointer inherits the base object's bounds and
-				// key (SoftBound's pointer-arithmetic rule), so an interior
-				// pointer built by register arithmetic carries provenance
-				// into Free/Check. Scalar operands carry zero metadata, so
-				// plain integer arithmetic stays metadata-free.
-				switch prog.BinOp(in.X) {
-				case prog.BinAdd, prog.BinSub:
-					if ma := metas[in.A]; ma.Valid() {
-						metas[in.Dst] = ma
-					} else if mb := metas[in.B]; mb.Valid() {
-						metas[in.Dst] = mb
-					}
-				}
-			}
-		case prog.OpCmp:
-			a, b := regs[in.A], regs[in.B]
-			var t bool
-			switch prog.CmpPred(in.X) {
-			case prog.CmpEq:
-				t = a == b
-			case prog.CmpNe:
-				t = a != b
-			case prog.CmpSLt:
-				t = int64(a) < int64(b)
-			case prog.CmpSLe:
-				t = int64(a) <= int64(b)
-			case prog.CmpSGt:
-				t = int64(a) > int64(b)
-			case prog.CmpSGe:
-				t = int64(a) >= int64(b)
-			case prog.CmpULt:
-				t = a < b
-			case prog.CmpULe:
-				t = a <= b
-			case prog.CmpUGt:
-				t = a > b
-			case prog.CmpUGe:
-				t = a >= b
-			}
-			if t {
-				regs[in.Dst] = 1
+			if o.code == opDiv {
+				regs[o.dst] = uint64(a / b)
 			} else {
-				regs[in.Dst] = 0
+				regs[o.dst] = uint64(a % b)
 			}
-		case prog.OpBr:
-			tgt := int(in.Imm)
-			if tgt <= pc { // backedge: budget and abort checks
-				th.budget -= steps
-				th.local.Instructions += steps
-				steps = 0
-				if th.budget <= 0 {
-					epilogue()
-					return 0, rt.PtrMeta{}, &abort{err: ErrInstructionBudget}
-				}
-				if m.aborted.Load() {
-					epilogue()
-					return 0, rt.PtrMeta{}, th.abortCause()
-				}
+		case opAnd:
+			regs[o.dst] = regs[o.a] & regs[o.b]
+		case opOr:
+			regs[o.dst] = regs[o.a] | regs[o.b]
+		case opXor:
+			regs[o.dst] = regs[o.a] ^ regs[o.b]
+		case opShl:
+			regs[o.dst] = regs[o.a] << (regs[o.b] & 63)
+		case opShr:
+			regs[o.dst] = regs[o.a] >> (regs[o.b] & 63)
+		case opAddMeta, opSubMeta:
+			if o.code == opAddMeta {
+				regs[o.dst] = regs[o.a] + regs[o.b]
+			} else {
+				regs[o.dst] = regs[o.a] - regs[o.b]
 			}
-			pc = tgt
-			continue
-		case prog.OpCondBr:
-			if regs[in.A] != 0 {
-				tgt := int(in.Imm)
-				if tgt <= pc {
-					th.budget -= steps
-					th.local.Instructions += steps
-					steps = 0
-					if th.budget <= 0 {
-						epilogue()
-						return 0, rt.PtrMeta{}, &abort{err: ErrInstructionBudget}
-					}
-					if m.aborted.Load() {
-						epilogue()
-						return 0, rt.PtrMeta{}, th.abortCause()
-					}
-				}
-				pc = tgt
+			// Pointer ± integer keeps the operand's per-pointer metadata:
+			// the derived pointer inherits the base object's bounds and key
+			// (SoftBound's pointer-arithmetic rule), so an interior pointer
+			// built by register arithmetic carries provenance into
+			// Free/Check. Scalar operands carry zero metadata, so plain
+			// integer arithmetic stays metadata-free.
+			if ma := metas[o.a]; ma.Valid() {
+				metas[o.dst] = ma
+			} else if mb := metas[o.b]; mb.Valid() {
+				metas[o.dst] = mb
+			}
+		case opEq:
+			regs[o.dst] = b2u(regs[o.a] == regs[o.b])
+		case opNe:
+			regs[o.dst] = b2u(regs[o.a] != regs[o.b])
+		case opSLt:
+			regs[o.dst] = b2u(int64(regs[o.a]) < int64(regs[o.b]))
+		case opSLe:
+			regs[o.dst] = b2u(int64(regs[o.a]) <= int64(regs[o.b]))
+		case opSGt:
+			regs[o.dst] = b2u(int64(regs[o.a]) > int64(regs[o.b]))
+		case opSGe:
+			regs[o.dst] = b2u(int64(regs[o.a]) >= int64(regs[o.b]))
+		case opULt:
+			regs[o.dst] = b2u(regs[o.a] < regs[o.b])
+		case opULe:
+			regs[o.dst] = b2u(regs[o.a] <= regs[o.b])
+		case opUGt:
+			regs[o.dst] = b2u(regs[o.a] > regs[o.b])
+		case opUGe:
+			regs[o.dst] = b2u(regs[o.a] >= regs[o.b])
+		case opBr:
+			if int(o.x) > pc {
+				pc = int(o.x)
 				continue
 			}
-		case prog.OpAlloca:
+			pc = int(o.x)
+			goto backedge
+		case opCondBr:
+			if regs[o.a] != 0 {
+				if int(o.x) > pc {
+					pc = int(o.x)
+					continue
+				}
+				pc = int(o.x)
+				goto backedge
+			}
+		case opAlloca:
+			in := &f.src[pc]
 			isTracked := in.Has(prog.FlagTracked)
 			allocSize := in.Size
 			rz := m.san.Profile.StackRedzone
@@ -251,96 +218,86 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 			}
 			raw, err := th.stack.Alloc(allocSize)
 			if err != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: err}
+				ab = &abort{err: err}
+				goto fail
 			}
 			if isTracked && rz > 0 {
 				raw += uint64(rz)
 			}
 			ptr, meta := run.StackAlloc(raw, in.Size, isTracked)
-			regs[in.Dst] = ptr
+			regs[o.dst] = ptr
 			if metas != nil {
-				metas[in.Dst] = meta
+				metas[o.dst] = meta
 			}
 			if isTracked {
 				tracked = append(tracked, trackedObj{ptr: ptr, size: in.Size})
 			}
 			m.sampleRSS()
-		case prog.OpMalloc:
-			size := in.Size
-			if in.A != prog.NoReg {
-				size = int64(regs[in.A])
+		case opMalloc:
+			size := o.y
+			if o.a != prog.NoReg {
+				size = int64(regs[o.a])
 			}
 			ptr, meta, err := run.Malloc(size)
 			if err != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: err}
+				ab = &abort{err: err}
+				goto fail
 			}
-			regs[in.Dst] = ptr
+			regs[o.dst] = ptr
 			if metas != nil {
-				metas[in.Dst] = meta
+				metas[o.dst] = meta
 			}
 			th.local.Mallocs++
 			if mb := m.opts.MaxHeapBytes; mb > 0 && m.heap.LiveBytes() > mb {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: ErrHeapBudget}
+				ab = &abort{err: ErrHeapBudget}
+				goto fail
 			}
 			m.sampleRSS()
-		case prog.OpFree:
+		case opFree:
 			var meta rt.PtrMeta
 			if metas != nil {
-				meta = metas[in.A]
+				meta = metas[o.a]
 			}
-			if v := run.Free(regs[in.A], meta); v != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
+			if v := run.Free(regs[o.a], meta); v != nil {
+				ab = th.report(v, f.name, pc)
+				goto fail
 			}
 			th.local.Frees++
 			m.sampleRSS()
-		case prog.OpLoad:
-			addr := (regs[in.A] & mask) + uint64(in.Off)
-			v, f := m.space.Load(addr, in.Size)
-			if f != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{fault: f}
+		case opLoad:
+			if ab = th.load(o, regs, mask); ab != nil {
+				goto fail
 			}
-			regs[in.Dst] = v
-		case prog.OpStore:
-			addr := (regs[in.A] & mask) + uint64(in.Off)
-			if f := m.space.Store(addr, in.Size, regs[in.B]); f != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{fault: f}
+		case opStore:
+			if ab = th.store(o, regs, mask); ab != nil {
+				goto fail
 			}
-		case prog.OpGEP:
-			v := regs[in.A] + uint64(in.Off)
-			if in.B != prog.NoReg {
-				v += regs[in.B] * uint64(in.Imm)
-			}
-			regs[in.Dst] = v
-			if metas != nil {
-				metas[in.Dst] = metas[in.A]
-			}
-		case prog.OpGlobalAddr:
+		case opGEP:
+			regs[o.dst] = regs[o.a] + uint64(o.x) + regs[o.b]*uint64(o.y)
+		case opGEPMeta:
+			regs[o.dst] = regs[o.a] + uint64(o.x) + regs[o.b]*uint64(o.y)
+			metas[o.dst] = metas[o.a]
+		case opGlobalAddr:
 			// An unresolved global reads as a null GPT entry.
 			var ptr uint64
 			var meta rt.PtrMeta
-			if slot := targets[pc]; slot >= 0 {
-				ptr, meta = m.gptPtr[slot], m.gptMeta[slot]
+			if o.x >= 0 {
+				ptr, meta = m.gptPtr[o.x], m.gptMeta[o.x]
 			}
-			regs[in.Dst] = ptr
+			regs[o.dst] = ptr
 			if metas != nil {
-				metas[in.Dst] = meta
+				metas[o.dst] = meta
 			}
-		case prog.OpCall:
-			ci := targets[pc]
-			if ci < 0 {
-				epilogue()
-				return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: undefined function %q", in.Sym)}
+		case opCall:
+			if o.x < 0 {
+				ab = &abort{err: fmt.Errorf("interp: undefined function %q", f.src[pc].Sym)}
+				goto fail
 			}
 			// Arguments go register-to-register into the callee's window.
 			mark := th.frameBase
-			cregs, cmetas := th.frame(m.link.Funcs[ci].Func.NumRegs)
-			args := in.Args[:min(len(in.Args), len(cregs))]
+			cregs, cmetas := th.frame(m.code[o.x].numRegs)
+			args := f.src[pc].Args
+			args = args[:min(len(args), len(cregs))]
 			for i, a := range args {
 				cregs[i] = regs[a]
 			}
@@ -349,182 +306,391 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 					cmetas[i] = metas[a]
 				}
 			}
-			ret, rmeta, ab := th.call(ci, cregs, cmetas, depth+1)
+			ret, rmeta, cab := th.call(int32(o.x), cregs, cmetas, depth+1)
 			th.frameBase = mark
-			if ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+			if cab != nil {
+				ab = cab
+				goto fail
 			}
-			regs[in.Dst] = ret
+			regs[o.dst] = ret
 			if metas != nil {
-				metas[in.Dst] = rmeta
+				metas[o.dst] = rmeta
 			}
-		case prog.OpCallExternal:
-			ret, ab := th.callExternal(in, regs, metas, fn.Name, pc)
-			if ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+		case opCallExternal:
+			ret, cab := th.callExternal(&f.src[pc], regs, metas, f.name, pc)
+			if cab != nil {
+				ab = cab
+				goto fail
 			}
-			regs[in.Dst] = ret
+			regs[o.dst] = ret
 			th.local.ExternCalls++
-		case prog.OpLibc:
-			ret, ab := th.libcCall(in, regs, metas, fn.Name, pc)
-			if ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+		case opLibc:
+			ret, cab := th.libcCall(&f.src[pc], regs, metas, f.name, pc)
+			if cab != nil {
+				ab = cab
+				goto fail
 			}
-			regs[in.Dst] = ret
+			regs[o.dst] = ret
 			th.local.LibcCalls++
-		case prog.OpParFor:
-			if ab := th.parFor(in, targets[pc], regs, depth); ab != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, ab
+		case opParFor:
+			if ab = th.parFor(&f.src[pc], int32(o.x), regs, depth); ab != nil {
+				goto fail
 			}
-		case prog.OpRet:
+		case opRet:
 			var v uint64
 			var rmeta rt.PtrMeta
-			if in.A != prog.NoReg {
-				v = regs[in.A]
+			if o.a != prog.NoReg {
+				v = regs[o.a]
 				if metas != nil {
-					rmeta = metas[in.A]
+					rmeta = metas[o.a]
 				}
 			}
 			th.local.Instructions += steps
-			epilogue()
+			th.epilogue(tracked, frameMark)
 			return v, rmeta, nil
-		case prog.OpCheckAccess:
-			kind := rt.Read
-			if in.Has(prog.FlagWrite) {
-				kind = rt.Write
+		case opCheck:
+			if ab = th.check(o, regs, metas, f.name, pc); ab != nil {
+				goto fail
+			}
+		case opCheckSlow:
+			size := o.y
+			if o.b != prog.NoReg {
+				size = int64(regs[o.b])
 			}
 			var meta rt.PtrMeta
 			if metas != nil {
-				meta = metas[in.A]
+				meta = metas[o.a]
 			}
-			size := in.Size
-			if in.B != prog.NoReg {
-				size = int64(regs[in.B])
+			if ab = th.checkAt(regs[o.a], meta, o.x, size, rt.AccessKind(o.dst), f.name, pc); ab != nil {
+				goto fail
 			}
-			th.local.ChecksExecuted++
-			var v *rt.Violation
-			if obsv := m.opts.CheckObserver; obsv != nil {
-				t0 := time.Now()
-				v = run.Check(regs[in.A], meta, in.Off, size, kind)
-				obsv.ObserveCheck(fn.Name, pc, size, time.Since(t0))
-			} else {
-				v = run.Check(regs[in.A], meta, in.Off, size, kind)
-			}
-			if v != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
-			}
-			// Fused superinstruction: execute the guarded access in the same
-			// dispatch. Semantics, PCs and step accounting are identical to
-			// the unfused pair — the access instruction is executed verbatim
-			// and counted as its own step.
-			if fn.Fused != nil && fn.Fused[pc] != prog.FuseNone {
-				nin := &code[pc+1]
-				steps++
-				addr := (regs[nin.A] & mask) + uint64(nin.Off)
-				if fn.Fused[pc] == prog.FuseLoad {
-					v, f := m.space.Load(addr, nin.Size)
-					if f != nil {
-						epilogue()
-						return 0, rt.PtrMeta{}, &abort{fault: f}
-					}
-					regs[nin.Dst] = v
-				} else {
-					if f := m.space.Store(addr, nin.Size, regs[nin.B]); f != nil {
-						epilogue()
-						return 0, rt.PtrMeta{}, &abort{fault: f}
-					}
+		case opPeriodic:
+			if !periodicSkip(int64(regs[o.b])-o.x, uint64(o.y)) {
+				if ab = th.periodic(&f.src[pc], regs, metas, f.name, pc); ab != nil {
+					goto fail
 				}
-				pc += 2
+			}
+		case opSubPtr:
+			in := &f.src[pc]
+			ptr, meta := run.SubPtr(regs[o.a], in.Off, in.Size)
+			regs[o.dst] = ptr
+			if metas != nil {
+				metas[o.dst] = meta
+			}
+			th.local.SubPtrOps++
+		case opSubRelease:
+			run.SubRelease(regs[o.a])
+			th.local.SubPtrOps++
+		case opStripPtr:
+			raw, v := run.PrepareExternArg(regs[o.a])
+			if v != nil {
+				ab = th.report(v, f.name, pc)
+				goto fail
+			}
+			regs[o.dst] = raw
+		case opRetagPtr:
+			regs[o.dst] = (regs[o.a] & mask) | (regs[o.b] &^ mask)
+		case opPtrMetaCopy:
+			metas[o.dst] = metas[o.a]
+			th.local.MetaOps++
+		case opPtrMetaLoad:
+			metas[o.dst] = run.LoadPtrMeta((regs[o.a] & mask) + uint64(o.x))
+			th.local.MetaOps++
+		case opPtrMetaStore:
+			run.StorePtrMeta((regs[o.a]&mask)+uint64(o.x), metas[o.b])
+			th.local.MetaOps++
+
+		// Superinstructions: each runs its group's source instructions in
+		// order, reading the tails' operands from ops[pc+1] and ops[pc+2].
+		case opConstAdd:
+			regs[o.dst] = uint64(o.x)
+			t := &ops[pc+1]
+			regs[t.dst] = regs[t.a] + regs[t.b]
+			pc += 2
+			continue
+		case opConstSub:
+			regs[o.dst] = uint64(o.x)
+			t := &ops[pc+1]
+			regs[t.dst] = regs[t.a] - regs[t.b]
+			pc += 2
+			continue
+		case opConstMul:
+			regs[o.dst] = uint64(o.x)
+			t := &ops[pc+1]
+			regs[t.dst] = regs[t.a] * regs[t.b]
+			pc += 2
+			continue
+		case opConstAnd:
+			regs[o.dst] = uint64(o.x)
+			t := &ops[pc+1]
+			regs[t.dst] = regs[t.a] & regs[t.b]
+			pc += 2
+			continue
+		case opLatch:
+			regs[o.dst] = uint64(o.x)
+			t := &ops[pc+1]
+			regs[t.dst] = regs[t.a] + regs[t.b]
+			if tgt := int(ops[pc+2].x); tgt > pc+2 {
+				pc = tgt
 				continue
 			}
-		case prog.OpCheckPeriodic:
-			// Grouped monotonic check (§II.F.1, Figure 4a): fire every
-			// check_step-th iteration, widened to cover the elements until
-			// the next firing, clamped at the loop limit.
-			iv := int64(regs[in.Args[1]])
-			modulus := in.Off
-			if (iv-in.Imm)%modulus == 0 {
-				step := int64(in.X)
-				limit := int64(regs[in.Args[2]])
-				elems := (limit - iv + step - 1) / step
-				if ceiling := modulus / step; elems > ceiling {
-					elems = ceiling
+			pc = int(ops[pc+2].x)
+			goto backedge
+		case opSGeBr:
+			if int64(regs[o.a]) >= int64(regs[o.b]) {
+				regs[o.dst] = 1
+				goto taken
+			}
+			regs[o.dst] = 0
+			pc += 2
+			continue
+		case opSLtBr:
+			if int64(regs[o.a]) < int64(regs[o.b]) {
+				regs[o.dst] = 1
+				goto taken
+			}
+			regs[o.dst] = 0
+			pc += 2
+			continue
+		case opEqBr:
+			if regs[o.a] == regs[o.b] {
+				regs[o.dst] = 1
+				goto taken
+			}
+			regs[o.dst] = 0
+			pc += 2
+			continue
+		case opGEPLoad:
+			regs[o.dst] = regs[o.a] + uint64(o.x) + regs[o.b]*uint64(o.y)
+			if ab = th.load(&ops[pc+1], regs, mask); ab != nil {
+				goto fail
+			}
+			pc += 2
+			continue
+		case opGEPStore:
+			regs[o.dst] = regs[o.a] + uint64(o.x) + regs[o.b]*uint64(o.y)
+			if ab = th.store(&ops[pc+1], regs, mask); ab != nil {
+				goto fail
+			}
+			pc += 2
+			continue
+		case opGEPCheckLoad:
+			regs[o.dst] = regs[o.a] + uint64(o.x) + regs[o.b]*uint64(o.y)
+			if ab = th.check(&ops[pc+1], regs, metas, f.name, pc+1); ab != nil {
+				goto fail
+			}
+			if ab = th.load(&ops[pc+2], regs, mask); ab != nil {
+				goto fail
+			}
+			pc += 3
+			continue
+		case opGEPCheckStore:
+			regs[o.dst] = regs[o.a] + uint64(o.x) + regs[o.b]*uint64(o.y)
+			if ab = th.check(&ops[pc+1], regs, metas, f.name, pc+1); ab != nil {
+				goto fail
+			}
+			if ab = th.store(&ops[pc+2], regs, mask); ab != nil {
+				goto fail
+			}
+			pc += 3
+			continue
+		case opCheckLoad:
+			if ab = th.check(o, regs, metas, f.name, pc); ab != nil {
+				goto fail
+			}
+			if ab = th.load(&ops[pc+1], regs, mask); ab != nil {
+				goto fail
+			}
+			pc += 2
+			continue
+		case opCheckStore:
+			if ab = th.check(o, regs, metas, f.name, pc); ab != nil {
+				goto fail
+			}
+			if ab = th.store(&ops[pc+1], regs, mask); ab != nil {
+				goto fail
+			}
+			pc += 2
+			continue
+		case opPeriodicLoad:
+			if !periodicSkip(int64(regs[o.b])-o.x, uint64(o.y)) {
+				if ab = th.periodic(&f.src[pc], regs, metas, f.name, pc); ab != nil {
+					goto fail
 				}
-				if elems > 0 {
-					kind := rt.Read
-					if in.Has(prog.FlagWrite) {
-						kind = rt.Write
-					}
-					var meta rt.PtrMeta
-					if metas != nil {
-						meta = metas[in.Args[0]]
-					}
-					th.local.ChecksExecuted++
-					var v *rt.Violation
-					if obsv := m.opts.CheckObserver; obsv != nil {
-						t0 := time.Now()
-						v = run.Check(regs[in.Args[0]], meta, 0, elems*in.Size, kind)
-						obsv.ObserveCheck(fn.Name, pc, elems*in.Size, time.Since(t0))
-					} else {
-						v = run.Check(regs[in.Args[0]], meta, 0, elems*in.Size, kind)
-					}
-					if v != nil {
-						epilogue()
-						return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
-					}
+			}
+			if ab = th.load(&ops[pc+1], regs, mask); ab != nil {
+				goto fail
+			}
+			pc += 2
+			continue
+		case opPeriodicStore:
+			if !periodicSkip(int64(regs[o.b])-o.x, uint64(o.y)) {
+				if ab = th.periodic(&f.src[pc], regs, metas, f.name, pc); ab != nil {
+					goto fail
 				}
 			}
-		case prog.OpSubPtr:
-			ptr, meta := run.SubPtr(regs[in.A], in.Off, in.Size)
-			regs[in.Dst] = ptr
-			if metas != nil {
-				metas[in.Dst] = meta
+			if ab = th.store(&ops[pc+1], regs, mask); ab != nil {
+				goto fail
 			}
-			th.local.SubPtrOps++
-		case prog.OpSubRelease:
-			run.SubRelease(regs[in.A])
-			th.local.SubPtrOps++
-		case prog.OpStripPtr:
-			raw, v := run.PrepareExternArg(regs[in.A])
-			if v != nil {
-				epilogue()
-				return 0, rt.PtrMeta{}, th.report(v, fn.Name, pc)
-			}
-			regs[in.Dst] = raw
-		case prog.OpRetagPtr:
-			regs[in.Dst] = (regs[in.A] & mask) | (regs[in.B] &^ mask)
-		case prog.OpPtrMetaCopy:
-			if metas != nil {
-				metas[in.Dst] = metas[in.A]
-				th.local.MetaOps++
-			}
-		case prog.OpPtrMetaLoad:
-			if metas != nil {
-				addr := (regs[in.A] & mask) + uint64(in.Off)
-				metas[in.Dst] = run.LoadPtrMeta(addr)
-				th.local.MetaOps++
-			}
-		case prog.OpPtrMetaStore:
-			if metas != nil {
-				addr := (regs[in.A] & mask) + uint64(in.Off)
-				run.StorePtrMeta(addr, metas[in.B])
-				th.local.MetaOps++
-			}
+			pc += 2
+			continue
+
+		case opEnd:
+			// Fell off the end (validator prevents this for authored programs).
+			th.local.Instructions += steps
+			th.epilogue(tracked, frameMark)
+			return 0, rt.PtrMeta{}, nil
 		default:
-			epilogue()
-			return 0, rt.PtrMeta{}, &abort{err: fmt.Errorf("interp: invalid opcode %v at %s@%d", in.Op, fn.Name, pc)}
+			ab = &abort{err: fmt.Errorf("interp: invalid opcode %v at %s@%d", f.src[pc].Op, f.name, pc)}
+			goto fail
 		}
 		pc++
+		continue
+
+	taken:
+		// A fused compare-and-branch took the branch at pc+1.
+		if tgt := int(ops[pc+1].x); tgt > pc+1 {
+			pc = tgt
+			continue
+		}
+		pc = int(ops[pc+1].x)
+	backedge:
+		// Budget and abort checks on every backward branch.
+		th.budget -= steps
+		th.local.Instructions += steps
+		steps = 0
+		if th.budget <= 0 {
+			ab = &abort{err: ErrInstructionBudget}
+			goto fail
+		}
+		if m.aborted.Load() {
+			ab = th.abortCause()
+			goto fail
+		}
 	}
-	// Fell off the end (validator prevents this for authored programs).
-	th.local.Instructions += steps
-	epilogue()
-	return 0, rt.PtrMeta{}, nil
+fail:
+	th.epilogue(tracked, frameMark)
+	return 0, rt.PtrMeta{}, ab
+}
+
+// b2u converts a comparison result to the 0/1 word a cmp writes.
+func b2u(t bool) uint64 {
+	if t {
+		return 1
+	}
+	return 0
+}
+
+// epilogue releases a frame's tracked stack objects' metadata and pops its
+// simulated stack frame.
+func (th *thread) epilogue(tracked []trackedObj, frameMark uint64) {
+	for _, ob := range tracked {
+		th.m.san.Runtime.StackRelease(ob.ptr, ob.size)
+	}
+	th.stack.Release(frameMark)
+}
+
+// load runs load op o.
+func (th *thread) load(o *op, regs []uint64, mask uint64) *abort {
+	v, f := th.m.space.Load((regs[o.a]&mask)+uint64(o.x), o.y)
+	if f != nil {
+		return &abort{fault: f}
+	}
+	regs[o.dst] = v
+	return nil
+}
+
+// store runs store op o.
+func (th *thread) store(o *op, regs []uint64, mask uint64) *abort {
+	if f := th.m.space.Store((regs[o.a]&mask)+uint64(o.x), o.y, regs[o.b]); f != nil {
+		return &abort{fault: f}
+	}
+	return nil
+}
+
+// check runs check op o (static size, no observer), the one at pc.
+func (th *thread) check(o *op, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) *abort {
+	var meta rt.PtrMeta
+	if metas != nil {
+		meta = metas[o.a]
+	}
+	th.local.ChecksExecuted++
+	if v := th.m.san.Runtime.Check(regs[o.a], meta, o.x, o.y, rt.AccessKind(o.dst)); v != nil {
+		return th.report(v, fnName, pc)
+	}
+	return nil
+}
+
+// checkAt runs one check of [ptr+off, ptr+off+size), timing it for the
+// check observer when one is attached.
+func (th *thread) checkAt(ptr uint64, meta rt.PtrMeta, off, size int64, kind rt.AccessKind, fnName string, pc int) *abort {
+	th.local.ChecksExecuted++
+	run := th.m.san.Runtime
+	var v *rt.Violation
+	if obsv := th.m.opts.CheckObserver; obsv != nil {
+		t0 := time.Now()
+		v = run.Check(ptr, meta, off, size, kind)
+		obsv.ObserveCheck(fnName, pc, size, time.Since(t0))
+	} else {
+		v = run.Check(ptr, meta, off, size, kind)
+	}
+	if v != nil {
+		return th.report(v, fnName, pc)
+	}
+	return nil
+}
+
+// periodic runs in, a grouped monotonic check (§II.F.1, Figure 4a), when it
+// is due: it fires every check_step-th iteration, widened to cover the
+// elements until the next firing, clamped at the loop limit. The decoded
+// op calls it only where periodicSkip cannot rule the firing out.
+func (th *thread) periodic(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) *abort {
+	iv := int64(regs[in.Args[1]])
+	modulus := in.Off
+	if (iv-in.Imm)%modulus != 0 {
+		return nil
+	}
+	step := int64(in.X)
+	limit := int64(regs[in.Args[2]])
+	elems := (limit - iv + step - 1) / step
+	if ceiling := modulus / step; elems > ceiling {
+		elems = ceiling
+	}
+	if elems <= 0 {
+		return nil
+	}
+	kind := rt.Read
+	if in.Has(prog.FlagWrite) {
+		kind = rt.Write
+	}
+	var meta rt.PtrMeta
+	if metas != nil {
+		meta = metas[in.Args[0]]
+	}
+	return th.checkAt(regs[in.Args[0]], meta, 0, elems*in.Size, kind, fnName, pc)
+}
+
+// takeTids reserves the n lowest free thread ids. Ids past the stack region
+// are handed out too; alloc.NewStack refuses them.
+func (m *Machine) takeTids(n int) []int {
+	tids := make([]int, n)
+	m.tidMu.Lock()
+	for i := range tids {
+		tid := bits.TrailingZeros64(^m.tids)
+		m.tids |= 1 << tid // a no-op past bit 63
+		tids[i] = tid
+	}
+	m.tidMu.Unlock()
+	return tids
+}
+
+// releaseTids frees thread ids taken by takeTids.
+func (m *Machine) releaseTids(tids []int) {
+	m.tidMu.Lock()
+	for _, tid := range tids {
+		m.tids &^= 1 << tid
+	}
+	m.tidMu.Unlock()
 }
 
 // errAbortedElsewhere stops sibling threads after another thread reported.
@@ -563,7 +729,7 @@ func (th *thread) parFor(in *prog.Instr, fi int32, regs []uint64, depth int) *ab
 	if fi < 0 {
 		return &abort{err: fmt.Errorf("interp: undefined parfor body %q", in.Sym)}
 	}
-	numRegs := m.link.Funcs[fi].Func.NumRegs
+	numRegs := m.code[fi].numRegs
 	if workers < 1 {
 		workers = 1
 	}
@@ -573,6 +739,12 @@ func (th *thread) parFor(in *prog.Instr, fi int32, regs []uint64, depth int) *ab
 	}
 	chunk := span / int64(workers)
 
+	// Worker stacks come from the machine's free thread ids, taken here in
+	// worker order so a region's ids do not depend on scheduling: a
+	// top-level region gets ids 1..workers, and a region nested in another
+	// worker never shares a stack with a thread that is still running.
+	tids := m.takeTids(workers)
+	defer m.releaseTids(tids)
 	aborts := make([]*abort, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -596,7 +768,7 @@ func (th *thread) parFor(in *prog.Instr, fi int32, regs []uint64, depth int) *ab
 					m.aborted.Store(true)
 				}
 			}()
-			stack, err := alloc.NewStack(w + 1)
+			stack, err := alloc.NewStack(tids[w])
 			if err != nil {
 				aborts[w] = &abort{err: err}
 				return

@@ -85,6 +85,10 @@ type Options struct {
 	// every executed check opcode. nil keeps the check hot path free of
 	// time.Now calls.
 	CheckObserver CheckObserver
+	// DisableFusion decodes the program without superinstructions, one
+	// dispatch per instruction: the reference the fused form is tested
+	// against. Results and Stats are identical either way.
+	DisableFusion bool
 }
 
 // DefaultOptions returns the standard machine configuration.
@@ -173,6 +177,11 @@ type Resources struct {
 	// the possibly grown arenas back, so a pooled run allocates none.
 	regArena  []uint64
 	metaArena []rt.PtrMeta
+
+	// ops and code back the machine's decoded program (decode): NewOn
+	// rewrites them per machine, so pooled reuse recycles their storage.
+	ops  []op
+	code []fcode
 }
 
 // NewResources allocates a fresh resource bundle for the given canonical
@@ -195,6 +204,7 @@ func (r *Resources) Reset() {
 	r.Space.Reset()
 	r.Heap.Reset()
 	r.Globals.Reset()
+	clear(r.code) // drop the last program's instructions
 }
 
 // Machine executes one instrumented program under one sanitizer runtime.
@@ -202,6 +212,7 @@ func (r *Resources) Reset() {
 type Machine struct {
 	program *prog.Program
 	link    *prog.Link
+	code    []fcode // decoded functions, indexed like link.Funcs
 	san     rt.Sanitizer
 	res     *Resources
 
@@ -233,6 +244,11 @@ type Machine struct {
 
 	aborted     atomic.Bool
 	interrupted atomic.Pointer[interruptCause]
+
+	// tids has bit i set while thread id i (its stack in the stack region)
+	// is in use; the main thread holds id 0.
+	tidMu sync.Mutex
+	tids  uint64
 
 	peakRSS  atomic.Int64
 	peakProg atomic.Int64
@@ -301,6 +317,7 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 		gptPtr:  res.gptPtr,
 		gptMeta: res.gptMeta,
 		opts:    opts,
+		tids:    1,
 	}
 	m.rngState.Store(opts.Seed)
 	m.addrMask = ^uint64(0)
@@ -308,6 +325,7 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 		m.addrMask = san.Profile.PtrMask
 	}
 	m.trackMeta = san.Profile.PtrMeta
+	m.decode(res)
 
 	env := rt.Env{Space: m.space, Heap: m.heap, Globals: m.globals}
 	if err := san.Runtime.Attach(&env); err != nil {
@@ -442,7 +460,7 @@ func (m *Machine) Run() *Result {
 		m: m, stack: stack, budget: m.opts.MaxInstructions,
 		regArena: m.res.regArena, metaArena: m.res.metaArena,
 	}
-	regs, metas := th.frame(m.link.Funcs[entry].Func.NumRegs)
+	regs, metas := th.frame(m.code[entry].numRegs)
 	ret, _, ab := th.call(entry, regs, metas, 0)
 	m.res.regArena, m.res.metaArena = th.regArena, th.metaArena
 	th.flushStats()

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"cecsan/internal/alloc"
 	"cecsan/internal/sanitizers/nosan"
 	"cecsan/prog"
 )
@@ -835,5 +836,82 @@ func BenchmarkInterpCall(b *testing.B) {
 			b.Fatalf("run failed: %+v", got)
 		}
 		res.Reset()
+	}
+}
+
+// nestedParForProgram has outer workers keep their index in a stack slot
+// across an inner parallel region whose workers write their own stack
+// slots, then publish the slot's value in results[i]. main returns
+// sum(results[i] << 8i), 0x03020100 when every slot survived.
+func nestedParForProgram() *prog.Program {
+	pb := prog.NewProgram()
+	pb.Global("results", prog.ArrayOf(prog.Int64T(), 4))
+	in := pb.Function("inner", 1)
+	in.Store(in.Alloca(prog.Int64T()), 0, in.AddImm(in.Arg(0), 1000), prog.Int64T())
+	in.RetVoid()
+	out := pb.Function("outer", 1)
+	slot := out.Alloca(prog.Int64T())
+	out.Store(slot, 0, out.Arg(0), prog.Int64T())
+	out.ParFor("inner", out.Const(0), out.Const(4), 4)
+	out.Store(out.ElemPtr(out.GlobalAddr("results"), prog.Int64T(), out.Arg(0)), 0, out.Load(slot, 0, prog.Int64T()), prog.Int64T())
+	out.RetVoid()
+	f := pb.Function("main", 0)
+	f.ParFor("outer", f.Const(0), f.Const(4), 4)
+	sum := f.NewReg()
+	f.AssignConst(sum, 0)
+	g := f.GlobalAddr("results")
+	for i := int64(0); i < 4; i++ {
+		v := f.Load(f.ElemPtr(g, prog.Int64T(), f.Const(i)), 0, prog.Int64T())
+		f.Assign(sum, f.Add(sum, f.Mul(v, f.Const(1<<(8*i)))))
+	}
+	f.Ret(sum)
+	return pb.MustBuild()
+}
+
+// TestNestedParForStacksDisjoint pins that an inner parallel region's
+// workers never reuse the stack of a thread that is still running: every
+// outer worker's stack slot must survive its inner region.
+func TestNestedParForStacksDisjoint(t *testing.T) {
+	p := nestedParForProgram()
+	for i := 0; i < 20; i++ {
+		m, err := New(p, nosan.Sanitizer(), DefaultOptions())
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if res := m.Run(); !res.Ok() || res.Ret != 0x03020100 {
+			t.Fatalf("run %d: ret %#x (%+v), want 0x03020100", i, res.Ret, res)
+		}
+	}
+}
+
+// TestParForThreadLimit pins the validator's parfor bound to the stack
+// region: the largest thread count it accepts runs (every worker gets a
+// stack), and one more is refused when the program is built.
+func TestParForThreadLimit(t *testing.T) {
+	build := func(threads int) (*prog.Program, error) {
+		pb := prog.NewProgram()
+		pb.Global("results", prog.ArrayOf(prog.Int64T(), 64))
+		w := pb.Function("worker", 1)
+		w.Store(w.ElemPtr(w.GlobalAddr("results"), prog.Int64T(), w.Arg(0)), 0, w.Arg(0), prog.Int64T())
+		w.RetVoid()
+		f := pb.Function("main", 0)
+		f.ParFor("worker", f.Const(0), f.Const(64), threads)
+		f.Ret(f.Load(f.ElemPtr(f.GlobalAddr("results"), prog.Int64T(), f.Const(63)), 0, prog.Int64T()))
+		return pb.Build()
+	}
+	most := alloc.MaxThreads - 1 // thread id 0 is the main thread's
+	p, err := build(most)
+	if err != nil {
+		t.Fatalf("%d threads refused: %v", most, err)
+	}
+	m, err := New(p, nosan.Sanitizer(), DefaultOptions())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if res := m.Run(); !res.Ok() || res.Ret != 63 {
+		t.Fatalf("%d-thread parfor: ret %d (%+v), want 63", most, res.Ret, res)
+	}
+	if _, err := build(most + 1); err == nil {
+		t.Fatalf("%d threads accepted; the stack region holds %d threads", most+1, alloc.MaxThreads)
 	}
 }

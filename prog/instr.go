@@ -197,19 +197,6 @@ func (o Operand) String() string {
 	return fmt.Sprintf("r%d", o.Reg)
 }
 
-// FuseKind classifies a fused superinstruction rooted at one instruction.
-type FuseKind uint8
-
-// Fusion kinds. A check fused with its guarded access executes both in one
-// dispatch; the instruction stream itself is unchanged (PCs, and therefore
-// violation reports and branch targets, are stable), so fusion is a pure
-// dispatch-layer specialization recorded in a side table.
-const (
-	FuseNone  FuseKind = iota
-	FuseLoad           // OpCheckAccess immediately followed by OpLoad
-	FuseStore          // OpCheckAccess immediately followed by OpStore
-)
-
 // Func is one IR function: a flat instruction slice with branch targets as
 // instruction indices, plus the builder-recorded loop facts.
 type Func struct {
@@ -222,14 +209,6 @@ type Func struct {
 	// Allocas lists the indices of OpAlloca instructions, for the stack
 	// object safety analysis.
 	Allocas []int
-
-	// Fused, when non-nil, is the superinstruction side table: Fused[pc]
-	// describes the fusion rooted at Code[pc]. It is derived (instrument
-	// populates it after the check-optimization passes), excluded from the
-	// fingerprint, and semantically transparent: a branch into the middle of
-	// a fused pair executes the plain tail instruction, exactly as unfused
-	// code would.
-	Fused []FuseKind
 }
 
 // GlobalSpec declares a program global.
@@ -280,7 +259,6 @@ func (p *Program) Clone() *Program {
 			Code:      append([]Instr(nil), f.Code...),
 			Loops:     append([]Loop(nil), f.Loops...),
 			Allocas:   append([]int(nil), f.Allocas...),
-			Fused:     append([]FuseKind(nil), f.Fused...),
 		}
 		for i := range nf.Code {
 			if nf.Code[i].Args != nil {

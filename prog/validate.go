@@ -3,6 +3,8 @@ package prog
 import (
 	"errors"
 	"fmt"
+
+	"cecsan/internal/alloc"
 )
 
 // Validate checks a freshly built (uninstrumented) program for structural
@@ -161,8 +163,10 @@ func validateFunc(p *Program, f *Func, globals map[string]bool, addf func(string
 			} else if callee.NumParams != 1 {
 				addf("prog: %s@%d: parfor body %q must take 1 param, has %d", f.Name, pc, in.Sym, callee.NumParams)
 			}
-			if in.Imm < 1 || in.Imm > 64 {
-				addf("prog: %s@%d: parfor thread count %d out of range [1,64]", f.Name, pc, in.Imm)
+			// The main thread holds thread id 0, so a region has every other
+			// stack of the stack region for its workers.
+			if in.Imm < 1 || in.Imm > int64(alloc.MaxThreads-1) {
+				addf("prog: %s@%d: parfor thread count %d out of range [1,%d]", f.Name, pc, in.Imm, alloc.MaxThreads-1)
 			}
 		case OpRet:
 			checkReg(pc, "val", in.A, true)
