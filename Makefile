@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci bench-smoke bench-determinism serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
+.PHONY: all build test fuzz-smoke fuzz-smoke-hardened fault-smoke obs-smoke ci bench-smoke bench-layers bench-determinism serve-smoke overload-smoke resume-smoke trace-smoke bench-table2 bench-table4 clean
 
 all: build test
 
@@ -75,6 +75,15 @@ bench-smoke:
 	$(GATE) -baseline BENCH_table2.json -fresh artifacts/table2.json
 	$(GO) run ./cmd/temporalbench -json artifacts/temporal.json
 	$(GATE) -baseline BENCH_temporal.json -fresh artifacts/temporal.json
+
+# Per-layer microbenchmarks of the memory path, six samples each, printed
+# for benchstat-style comparison; writes no file. Load8/Store8: one 8-byte
+# access as the interpreter makes it; Fill: a 4 KiB poisoning fill;
+# HeapAllocFree: small-chunk malloc/free churn; SpecLoop: ns per decoded
+# instruction; PooledCase: one Juliet case's NewMachine, Run and Release.
+bench-layers:
+	$(GO) test -run '^$$' -bench 'Load8|Store8|Fill|HeapAllocFree|SpecLoop|PooledCase' -count 6 \
+		./internal/mem ./internal/alloc ./internal/interp ./internal/engine
 
 # Benchmark determinism: perfbench is its own module, so `go test ./...` at
 # the root never reaches it. Its test pins the Juliet verdict vector against

@@ -30,28 +30,8 @@ func TestFusedMatchesUnfused(t *testing.T) {
 		sanitizers.Native, sanitizers.CECSan, sanitizers.CECSanHardened,
 		sanitizers.ASan, sanitizers.HWASan, sanitizers.SoftBound,
 	}
-	const seed, corpus = 0xF05E, 80
-
-	type program struct {
-		name   string
-		p      *prog.Program
-		inputs [][]byte
-	}
-	var progs []program
-	for i := 0; i < corpus; i++ {
-		c := Generate(splitmix.Derive(seed, uint64(i)))
-		p, err := csrc.Compile(c.Source)
-		if err != nil {
-			continue // generator emitted a shape this tool set can't compile; fine
-		}
-		progs = append(progs, program{fmt.Sprintf("seed %d", i), p, c.Inputs})
-	}
-	if len(progs) == 0 {
-		t.Fatal("corpus compiled zero cases; the property was never exercised")
-	}
-	for _, w := range specsim.Smoke() {
-		progs = append(progs, program{w.Name, w.Build(), nil})
-	}
+	const seed = corpusSeed
+	progs := modeCorpus(t)
 
 	mk := func(tool sanitizers.Name, disable bool) *engine.Engine {
 		eng, err := engine.New(tool, engine.Options{
@@ -101,6 +81,41 @@ func TestFusedMatchesUnfused(t *testing.T) {
 		}
 	}
 	t.Logf("superinstructions formed: %v", formed)
+}
+
+// corpusSeed seeds modeCorpus and the engines that run it.
+const corpusSeed = 0xF05E
+
+// corpusProgram is one program of modeCorpus. oracle is set for generated
+// fuzz cases and nil for the specsim programs.
+type corpusProgram struct {
+	name   string
+	p      *prog.Program
+	inputs [][]byte
+	oracle *Oracle
+}
+
+// modeCorpus is the corpus the execution-mode properties run: those of the
+// first 80 cases generated from corpusSeed that compile, plus the specsim
+// smoke programs (the parallel x264 and nab included).
+func modeCorpus(t *testing.T) []corpusProgram {
+	t.Helper()
+	var progs []corpusProgram
+	for i := 0; i < 80; i++ {
+		c := Generate(splitmix.Derive(corpusSeed, uint64(i)))
+		p, err := csrc.Compile(c.Source)
+		if err != nil {
+			continue // generator emitted a shape this tool set can't compile; fine
+		}
+		progs = append(progs, corpusProgram{fmt.Sprintf("seed %d", i), p, c.Inputs, &c.Oracle})
+	}
+	if len(progs) == 0 {
+		t.Fatal("corpus compiled zero cases; the property was never exercised")
+	}
+	for _, w := range specsim.Smoke() {
+		progs = append(progs, corpusProgram{w.Name, w.Build(), nil, nil})
+	}
+	return progs
 }
 
 // render flattens a result's externally visible outcome — the report, crash

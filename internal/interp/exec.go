@@ -590,20 +590,53 @@ func (th *thread) epilogue(tracked []trackedObj, frameMark uint64) {
 	th.stack.Release(frameMark)
 }
 
-// load runs load op o.
+// load runs load op o: an in-chunk access of a common width takes Space's
+// inlined fast path, anything else (and every fault) goes to Space.Load.
 func (th *thread) load(o *op, regs []uint64, mask uint64) *abort {
-	v, f := th.m.space.Load((regs[o.a]&mask)+uint64(o.x), o.y)
-	if f != nil {
-		return &abort{fault: f}
+	addr := (regs[o.a] & mask) + uint64(o.x)
+	sp := th.m.space
+	var v uint64
+	var ok bool
+	switch o.y {
+	case 8:
+		v, ok = sp.FastLoad8(addr)
+	case 4:
+		v, ok = sp.FastLoad4(addr)
+	case 1:
+		v, ok = sp.FastLoad1(addr)
+	case 2:
+		v, ok = sp.FastLoad2(addr)
+	}
+	if !ok {
+		var f *mem.Fault
+		if v, f = sp.Load(addr, o.y); f != nil {
+			return &abort{fault: f}
+		}
 	}
 	regs[o.dst] = v
 	return nil
 }
 
-// store runs store op o.
+// store runs store op o, with the same split as load: Space's fast path
+// takes an in-chunk store below the chunk's dirty mark.
 func (th *thread) store(o *op, regs []uint64, mask uint64) *abort {
-	if f := th.m.space.Store((regs[o.a]&mask)+uint64(o.x), o.y, regs[o.b]); f != nil {
-		return &abort{fault: f}
+	addr, val := (regs[o.a]&mask)+uint64(o.x), regs[o.b]
+	sp := th.m.space
+	var ok bool
+	switch o.y {
+	case 8:
+		ok = sp.FastStore8(addr, val)
+	case 4:
+		ok = sp.FastStore4(addr, val)
+	case 1:
+		ok = sp.FastStore1(addr, val)
+	case 2:
+		ok = sp.FastStore2(addr, val)
+	}
+	if !ok {
+		if f := sp.Store(addr, o.y, val); f != nil {
+			return &abort{fault: f}
+		}
 	}
 	return nil
 }

@@ -24,12 +24,13 @@ type ChunkStore struct {
 
 	// dirtyHi[i] is the exclusive high-water mark of bytes written into
 	// chunk i since the last Reset, maintained with a CAS-max so parallel
-	// regions can write concurrently. Reset zeroes only c[:dirtyHi[i]] —
-	// bytes past the mark were never written and are still zero. A mark
-	// from offset 0 is tight enough: every segment base is a multiple of
-	// the span one chunk covers in each store (64 KiB of memory, 512 KiB
-	// through ASan's shadow, 1 MiB through HWASan's tags), and stacks and
-	// the heap grow upwards from their bases.
+	// regions can write concurrently, and rounded up to a multiple of
+	// dirtyGranule. Reset zeroes only c[:dirtyHi[i]] — bytes past the mark
+	// were never written and are still zero. A mark from offset 0 is tight
+	// enough: every segment base is a multiple of the span one chunk covers
+	// in each store (64 KiB of memory, 512 KiB through ASan's shadow, 1 MiB
+	// through HWASan's tags), and stacks and the heap grow upwards from
+	// their bases.
 	dirtyHi []atomic.Int32
 
 	// mu guards spare and touchedIdx. spare holds zeroed chunks recycled by
@@ -99,10 +100,20 @@ func (s *ChunkStore) materialize(idx uint64) *chunk {
 	return c
 }
 
+// dirtyGranule is the step in which dirty marks rise. Rounding a mark up to
+// the next granule lets a run of sequential stores raise it once per 256
+// bytes instead of on almost every store, so Space's store fast path, which
+// needs the mark to cover the write already, applies to them. Reset then
+// clears at most dirtyGranule-1 bytes past the last write per chunk, and
+// those are still zero. ChunkSize is a multiple of it, so a rounded mark
+// never passes the chunk's end.
+const dirtyGranule = 256
+
 // noteDirty raises chunk idx's dirty high-water mark to at least end (an
-// in-chunk byte offset, exclusive). The common case — the mark already
-// covers end — is one atomic load.
+// in-chunk byte offset, exclusive), rounded up to a dirtyGranule boundary.
+// The common case — the mark already covers end — is one atomic load.
 func (s *ChunkStore) noteDirty(idx uint64, end int64) {
+	end = (end + dirtyGranule - 1) &^ (dirtyGranule - 1)
 	h := &s.dirtyHi[idx]
 	for {
 		cur := h.Load()
@@ -140,8 +151,14 @@ func (s *ChunkStore) Fill(pos uint64, n int64, v byte) int64 {
 		end := min(ChunkSize, off+n-done)
 		s.noteDirty(p>>ChunkBits, end)
 		seg := c[off:end]
-		for i := range seg {
-			seg[i] = v
+		if v == 0 {
+			clear(seg)
+		} else {
+			// Doubling copies: memmove, not a byte loop.
+			seg[0] = v
+			for k := 1; k < len(seg); k *= 2 {
+				copy(seg[k:], seg[:k])
+			}
 		}
 		done += end - off
 	}

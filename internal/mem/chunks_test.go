@@ -116,3 +116,13 @@ func TestChunkStoreFaultHook(t *testing.T) {
 		t.Errorf("Fill after Reset wrote %d bytes, byte = %d", n, s.Byte(ChunkSize))
 	}
 }
+
+// BenchmarkFill is one 4 KiB fill of a non-zero byte, the size of the
+// sanitizer models' allocation poisoning and tagging.
+func BenchmarkFill(b *testing.B) {
+	s := NewChunkStore(ChunkSize)
+	b.SetBytes(4096)
+	for i := 0; i < b.N; i++ {
+		s.Fill(0, 4096, 0xFA)
+	}
+}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -334,21 +335,30 @@ func TestCopyMatchesGoCopy(t *testing.T) {
 	}
 }
 
+// BenchmarkLoad8 is an 8-byte load as the interpreter makes it: the
+// fast path, with Load behind it.
 func BenchmarkLoad8(b *testing.B) {
 	s, _ := NewSpace(47)
 	s.Store(0x1000, 8, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if _, ok := s.FastLoad8(0x1000); ok {
+			continue
+		}
 		if _, f := s.Load(0x1000, 8); f != nil {
 			b.Fatal(f)
 		}
 	}
 }
 
+// BenchmarkStore8 is an 8-byte store as the interpreter makes it.
 func BenchmarkStore8(b *testing.B) {
 	s, _ := NewSpace(47)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if s.FastStore8(0x1000, uint64(i)) {
+			continue
+		}
 		if f := s.Store(0x1000, 8, uint64(i)); f != nil {
 			b.Fatal(f)
 		}
@@ -394,5 +404,180 @@ func TestSpaceReset(t *testing.T) {
 	}
 	if s.TouchedBytes() != fresh.TouchedBytes() {
 		t.Errorf("TouchedBytes after reuse = %d, fresh = %d", s.TouchedBytes(), fresh.TouchedBytes())
+	}
+}
+
+// fastLoad and fastStore dispatch on width the way the interpreter does.
+func fastLoad(s *Space, addr uint64, size int64) (uint64, bool) {
+	switch size {
+	case 8:
+		return s.FastLoad8(addr)
+	case 4:
+		return s.FastLoad4(addr)
+	case 2:
+		return s.FastLoad2(addr)
+	case 1:
+		return s.FastLoad1(addr)
+	}
+	return 0, false
+}
+
+func fastStore(s *Space, addr uint64, size int64, val uint64) bool {
+	switch size {
+	case 8:
+		return s.FastStore8(addr, val)
+	case 4:
+		return s.FastStore4(addr, val)
+	case 2:
+		return s.FastStore2(addr, val)
+	case 1:
+		return s.FastStore1(addr, val)
+	}
+	return false
+}
+
+// splitLoad and splitStore are the interpreter's access: the fast path,
+// and Load or Store where it declines.
+func splitLoad(s *Space, addr uint64, size int64) (uint64, *Fault) {
+	if v, ok := fastLoad(s, addr, size); ok {
+		return v, nil
+	}
+	return s.Load(addr, size)
+}
+
+func splitStore(s *Space, addr uint64, size int64, val uint64) *Fault {
+	if fastStore(s, addr, size, val) {
+		return nil
+	}
+	return s.Store(addr, size, val)
+}
+
+// TestFastPathMatchesSlowPath runs loads and stores of every width through
+// the fast path (with its fallback) on one space and through Load and Store
+// alone on another, and requires the same values, the same faults and the
+// same contents at the edges the fast path must get right: the last
+// in-chunk slot, the first crossing one, the end of the span, tagged
+// addresses, a vetoed chunk, and a store above its chunk's dirty mark.
+func TestFastPathMatchesSlowPath(t *testing.T) {
+	addrs := []struct {
+		name string
+		addr uint64
+	}{
+		{"chunk end fits", 3*ChunkSize - 8},
+		{"chunk end crosses", 3*ChunkSize - 7},
+		{"span end", SpanSize - 8},
+		{"past span", SpanSize},
+		{"tagged", 0x2A<<56 | 0x1000},
+		{"straddles span end", SpanSize - 4},
+	}
+	for _, size := range []int64{1, 2, 4, 8} {
+		for _, a := range addrs {
+			fast, slow := newSpace(t), newSpace(t)
+			val := uint64(0x8877665544332211)
+			// Twice: the first store maps the chunk and raises the mark
+			// through Store, the second takes the fast path where it can.
+			for round := 0; round < 2; round++ {
+				ff, sf := splitStore(fast, a.addr, size, val), slow.Store(a.addr, size, val)
+				if !reflect.DeepEqual(ff, sf) {
+					t.Fatalf("%s width %d: store fault %v, slow path %v", a.name, size, ff, sf)
+				}
+				fv, ff := splitLoad(fast, a.addr, size)
+				sv, sf := slow.Load(a.addr, size)
+				if fv != sv || !reflect.DeepEqual(ff, sf) {
+					t.Fatalf("%s width %d: load = (%#x, %v), slow path (%#x, %v)", a.name, size, fv, ff, sv, sf)
+				}
+				val = ^val
+			}
+			if fast.TouchedBytes() != slow.TouchedBytes() {
+				t.Fatalf("%s width %d: TouchedBytes %d, slow path %d", a.name, size, fast.TouchedBytes(), slow.TouchedBytes())
+			}
+		}
+	}
+
+	// The fast path takes exactly the in-chunk accesses of mapped chunks.
+	s := newSpace(t)
+	s.Store(3*ChunkSize-8, 8, 1) // maps chunk 2, mark at its end
+	if _, ok := s.FastLoad8(3*ChunkSize - 8); !ok {
+		t.Error("FastLoad8 declined an in-chunk load")
+	}
+	if !s.FastStore8(3*ChunkSize-8, 2) {
+		t.Error("FastStore8 declined an in-chunk store below the mark")
+	}
+	if _, ok := s.FastLoad8(3*ChunkSize - 7); ok {
+		t.Error("FastLoad8 took a chunk-crossing load")
+	}
+	if _, ok := s.FastLoad8(SpanSize); ok {
+		t.Error("FastLoad8 took an address past the span")
+	}
+	if _, ok := s.FastLoad1(5 * ChunkSize); ok {
+		t.Error("FastLoad1 took a load from an unmapped chunk")
+	}
+}
+
+// TestFastPathVetoedChunk checks that a first touch through the fast path
+// consults the fault hook exactly once, as Load and Store do, and gets the
+// same injected fault.
+func TestFastPathVetoedChunk(t *testing.T) {
+	const addr = 7*ChunkSize + 16
+	for _, size := range []int64{1, 2, 4, 8} {
+		fast, slow := newSpace(t), newSpace(t)
+		var fastCalls, slowCalls int
+		fast.SetFaultHook(func() bool { fastCalls++; return true })
+		slow.SetFaultHook(func() bool { slowCalls++; return true })
+
+		ff, sf := splitStore(fast, addr, size, 1), slow.Store(addr, size, 1)
+		if ff == nil || !ff.Injected || !reflect.DeepEqual(ff, sf) {
+			t.Fatalf("width %d: store fault %v, slow path %v; want the same injected fault", size, ff, sf)
+		}
+		_, ff = splitLoad(fast, addr, size)
+		_, sf = slow.Load(addr, size)
+		if ff == nil || !ff.Injected || !reflect.DeepEqual(ff, sf) {
+			t.Fatalf("width %d: load fault %v, slow path %v; want the same injected fault", size, ff, sf)
+		}
+		if fastCalls != 2 || slowCalls != 2 {
+			t.Fatalf("width %d: hook consulted %d times through the fast path, %d through the slow path; want 2 each", size, fastCalls, slowCalls)
+		}
+	}
+}
+
+// TestStoreAboveDirtyMark checks that a store above its chunk's dirty mark
+// falls back to Store, which raises the mark in whole granules, and that
+// Reset then zeroes what it wrote.
+func TestStoreAboveDirtyMark(t *testing.T) {
+	s := newSpace(t)
+	const base = 4 * ChunkSize
+	if f := s.Store(base, 8, 1); f != nil { // maps the chunk, mark 256
+		t.Fatal(f)
+	}
+	if got := s.store.dirtyHi[4].Load(); got != dirtyGranule {
+		t.Fatalf("mark after an 8-byte store at offset 0 = %d, want %d", got, dirtyGranule)
+	}
+	const hi = base + 3*dirtyGranule + 5
+	if s.FastStore4(hi, 0xDEADBEEF) {
+		t.Fatal("FastStore4 took a store above the dirty mark")
+	}
+	if f := splitStore(s, hi, 4, 0xDEADBEEF); f != nil {
+		t.Fatal(f)
+	}
+	if got := s.store.dirtyHi[4].Load(); got != 4*dirtyGranule {
+		t.Fatalf("mark after a store ending at offset %d = %d, want %d", hi+4-base, got, 4*dirtyGranule)
+	}
+	if !s.FastStore4(hi, 0xCAFEBABE) {
+		t.Fatal("FastStore4 declined a store the raised mark covers")
+	}
+	if v, f := splitLoad(s, hi, 4); f != nil || v != 0xCAFEBABE {
+		t.Fatalf("load = (%#x, %v), want 0xCAFEBABE", v, f)
+	}
+	if f := s.Store(base+ChunkSize-1, 1, 7); f != nil {
+		t.Fatal(f)
+	}
+	if got := s.store.dirtyHi[4].Load(); got != ChunkSize {
+		t.Fatalf("mark after a store to the chunk's last byte = %d, want %d", got, ChunkSize)
+	}
+	s.Reset()
+	// The chunk comes back from the spare list: Reset must have zeroed it.
+	got, f := s.ReadBytes(base, ChunkSize)
+	if f != nil || !bytes.Equal(got, make([]byte, ChunkSize)) {
+		t.Fatalf("chunk not zero after Reset (fault %v)", f)
 	}
 }
