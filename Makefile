@@ -44,13 +44,16 @@ obs-smoke:
 	grep -q '"name":"run"' artifacts/trace-smoke.json
 
 # The full local CI gate: static checks (gofmt-clean tree, vet), build, the
-# race-enabled unit suites, the fuzz smokes (clean + hardened +
-# fault-injected), and the observability smoke.
+# race-enabled unit suites, twenty race-enabled repeats of the fault-retry
+# test (its target must run on recycled state, which the engine's free lists
+# guarantee and a sync.Pool under the race detector did not), the fuzz
+# smokes (clean + hardened + fault-injected), and the observability smoke.
 ci:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count 20 -run TestFaultRetryReproduces ./internal/engine
 	$(MAKE) fuzz-smoke
 	$(MAKE) fuzz-smoke-hardened
 	$(MAKE) fault-smoke

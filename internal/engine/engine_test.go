@@ -251,20 +251,11 @@ func TestRuntimeRecycling(t *testing.T) {
 		m.Release()
 		return rt
 	}
-	// recycles reports whether any of 16 sequential machines gets the
-	// runtime its predecessor released. sync.Pool may drop any Put (under
-	// the race detector it drops one in four on purpose), so a single pair
-	// of machines proves nothing either way.
+	// recycles reports whether a second sequential machine gets the runtime
+	// its predecessor released. The engine's free lists never drop an entry,
+	// so one pair of machines decides it.
 	recycles := func(e *Engine) bool {
-		prev := runOnce(e)
-		for i := 0; i < 16; i++ {
-			next := runOnce(e)
-			if next == prev {
-				return true
-			}
-			prev = next
-		}
-		return false
+		return runOnce(e) == runOnce(e)
 	}
 
 	cec, err := New(sanitizers.CECSan, Options{})

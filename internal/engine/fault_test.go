@@ -218,24 +218,10 @@ func TestFaultRetryPoolSuspect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	// Run the warm case once, then seed several recycled bundles straight
-	// into the pools so the target case runs on recycled state: sync.Pool
-	// drops a random share of Puts under the race detector, so one warm-up
-	// Put may not survive.
+	// The warm case leaves its bundles on the free lists, so the target
+	// case runs on recycled state.
 	if _, err := eng.Run(warm); err != nil {
 		t.Fatalf("warmup: %v", err)
-	}
-	for i := 0; i < 16; i++ {
-		san, err := eng.newSanitizer()
-		if err != nil {
-			t.Fatalf("newSanitizer: %v", err)
-		}
-		eng.releaseSanitizer(san)
-		res, err := interp.NewResources(eng.interpOpts.AddrBits)
-		if err != nil {
-			t.Fatalf("NewResources: %v", err)
-		}
-		eng.release(res)
 	}
 	res, rerr := eng.Run(target)
 	if rerr != nil {

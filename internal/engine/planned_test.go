@@ -106,11 +106,7 @@ func TestRunPlannedZeroPlanRetriesPoolSuspect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("newSanitizer: %v", err)
 	}
-	// sync.Pool drops a random share of Puts under the race detector, so
-	// seed several poisoned bundles; the first Get returns one of them.
-	for i := 0; i < 16; i++ {
-		eng.sanPool.Put(rt.Sanitizer{Runtime: poisonedRuntime{good.Runtime}, Profile: good.Profile})
-	}
+	eng.sanPool.put(rt.Sanitizer{Runtime: poisonedRuntime{good.Runtime}, Profile: good.Profile})
 
 	res, err := eng.RunPlanned(p, PlannedRun{})
 	if err != nil {

@@ -9,21 +9,66 @@ import (
 // parameter is 5").
 const DefaultCheckStep = 5
 
+// Config projects a profile onto the fields Apply reads: the check and
+// tracking switches, the four optimizations, RedzoneBased when the
+// loop-invariant optimization consults it, and CheckStep when the monotonic
+// one does. Every other field is zeroed. Two profiles with equal configs
+// instrument every program identically, which is why the engine keys its
+// cache by Config (HWASan and ASan place the same checks; CECSan and
+// CECSan-hardened share one pass).
+func Config(p rt.Profile) rt.Profile {
+	c := rt.Profile{
+		CheckLoads:       p.CheckLoads,
+		CheckStores:      p.CheckStores,
+		SubObject:        p.SubObject,
+		PtrMeta:          p.PtrMeta,
+		TrackStack:       p.TrackStack,
+		TrackGlobals:     p.TrackGlobals,
+		OptRedundant:     p.OptRedundant,
+		OptLoopInvariant: p.OptLoopInvariant,
+		OptMonotonic:     p.OptMonotonic,
+		OptTypeBased:     p.OptTypeBased,
+	}
+	if p.OptLoopInvariant {
+		c.RedzoneBased = p.RedzoneBased
+	}
+	if p.OptMonotonic {
+		c.CheckStep = p.CheckStep
+	}
+	return c
+}
+
 // Apply clones the program and instruments it for the given profile,
-// returning the instrumented copy. The original is not modified.
+// returning the instrumented copy. The original is not modified. Only
+// Config(profile) shapes the output. The copy shares the original's global
+// table unless global tracking marks another global address-taken, and its
+// code is stored exact-size.
 func Apply(p *prog.Program, profile rt.Profile) *prog.Program {
-	out := p.Clone()
+	return apply(p, Config(profile))
+}
+
+// apply is Apply without the projection onto Config.
+func apply(p *prog.Program, profile rt.Profile) *prog.Program {
 	if profile.CheckStep <= 0 {
 		profile.CheckStep = DefaultCheckStep
 	}
+	out := p.Clone()
 
 	// Whole-program view first (the LTO vantage point, §II.E): classify
 	// globals across all functions.
-	var unsafeGlobals map[string]bool
 	if profile.TrackGlobals {
-		unsafeGlobals = classifyGlobals(out)
+		unsafeGlobals := classifyGlobals(out)
+		shared := true
 		for i := range out.Globals {
-			out.Globals[i].AddressTaken = unsafeGlobals[out.Globals[i].Name]
+			g := &out.Globals[i]
+			if g.AddressTaken == unsafeGlobals[g.Name] {
+				continue
+			}
+			if shared {
+				out.Globals = append(make([]prog.GlobalSpec, 0, len(out.Globals)), out.Globals...)
+				g, shared = &out.Globals[i], false
+			}
+			g.AddressTaken = unsafeGlobals[g.Name]
 		}
 	}
 	globalSizes := make(map[string]int64, len(out.Globals))
@@ -44,6 +89,7 @@ func Apply(p *prog.Program, profile rt.Profile) *prog.Program {
 			groupMonotonicChecks(f, profile.CheckStep)
 		}
 	}
+	out.Compact()
 	return out
 }
 

@@ -47,16 +47,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		return nil
 	}
 	// strlenRaw measures a NUL-terminated byte string in raw memory.
-	strlenRaw := func(raw uint64) int64 {
-		var n int64
-		for {
-			b, f := m.space.Load(raw+uint64(n), 1)
-			if f != nil || b == 0 {
-				return n
-			}
-			n++
-		}
-	}
+	strlenRaw := func(raw uint64) int64 { return m.space.ScanZero(raw, 1) }
 
 	switch in.Sym {
 	case "memcpy", "memmove":
@@ -161,15 +152,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		if ab := need(1); ab != nil {
 			return 0, ab
 		}
-		raw := argv(0) & mask
-		var n int64
-		for {
-			w, f := m.space.Load(raw+uint64(4*n), 4)
-			if f != nil || w == 0 {
-				break
-			}
-			n++
-		}
+		n := m.space.ScanZero(argv(0)&mask, 4)
 		if ab := check(in.Sym, 0, 4*(n+1), rt.Read); ab != nil {
 			return 0, ab
 		}

@@ -21,6 +21,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -294,6 +295,56 @@ func (s *Space) Store(addr uint64, size int64, val uint64) *Fault {
 		c[a&chunkMask] = byte(val >> (8 * uint(i)))
 	}
 	return nil
+}
+
+// ScanZero returns the number of width-byte elements (width 1 or 4) from
+// addr up to the first zero element, or up to the first element a load
+// would fault on: one past the span's end, or in a chunk the fault hook
+// vetoes. It visits each chunk once, yet behaves like loading the elements
+// one at a time: it materializes the same chunks in the same order, so the
+// fault hook sees the same calls. strlen and wcslen scan this way.
+func (s *Space) ScanZero(addr uint64, width int64) int64 {
+	if width != 1 && width != 4 {
+		panic(fmt.Sprintf("mem: ScanZero width %d, want 1 or 4", width))
+	}
+	w := uint64(width)
+	var n int64
+	for {
+		a := addr + uint64(n)*w
+		if !s.inSpan(a, width) {
+			return n
+		}
+		off := a & chunkMask
+		if off+w > ChunkSize {
+			// The element straddles two chunks: Load materializes them in
+			// order and reports the fault of a vetoed one.
+			v, f := s.Load(a, width)
+			if f != nil || v == 0 {
+				return n
+			}
+			n++
+			continue
+		}
+		c := s.store.chunk(a >> ChunkBits)
+		if c == nil {
+			return n
+		}
+		seg := c[off:]
+		if width == 1 {
+			if i := bytes.IndexByte(seg, 0); i >= 0 {
+				return n + int64(i)
+			}
+			n += int64(len(seg))
+			continue
+		}
+		whole := len(seg) / 4
+		for i := 0; i < whole; i++ {
+			if binary.LittleEndian.Uint32(seg[4*i:]) == 0 {
+				return n + int64(i)
+			}
+		}
+		n += int64(whole)
+	}
 }
 
 // ReadBytes copies n bytes starting at addr into a new slice.

@@ -581,3 +581,88 @@ func TestStoreAboveDirtyMark(t *testing.T) {
 		t.Fatalf("chunk not zero after Reset (fault %v)", f)
 	}
 }
+
+// scanZeroByLoads is the element-at-a-time loop ScanZero replaces: the
+// reference it must match.
+func scanZeroByLoads(s *Space, addr uint64, width int64) int64 {
+	var n int64
+	for {
+		v, f := s.Load(addr+uint64(n*width), width)
+		if f != nil || v == 0 {
+			return n
+		}
+		n++
+	}
+}
+
+// TestScanZeroMatchesLoads runs ScanZero and the element-at-a-time loop on
+// two identically prepared spaces and requires the same count, the same
+// chunks materialized in the same order and the same fault-hook calls.
+// Strings start and end around chunk boundaries, run to the span's end, and
+// run into an unmapped chunk that the hook either maps (it reads as zero) or
+// vetoes.
+func TestScanZeroMatchesLoads(t *testing.T) {
+	type scan struct {
+		start uint64 // first byte of the string
+		fill  int64  // nonzero bytes written from start
+		allow int    // hook calls that map a chunk before one is vetoed; -1: no hook
+	}
+	var cases []scan
+	for _, edge := range []uint64{3 * ChunkSize, SpanSize} {
+		for back := uint64(1); back <= 9; back++ {
+			for _, fill := range []int64{0, 1, 3, 4, 5, int64(back) - 1, int64(back), int64(back) + 1, int64(back) + 7} {
+				if edge == SpanSize && uint64(fill) > back {
+					continue
+				}
+				for _, allow := range []int{-1, 0, 1} {
+					cases = append(cases, scan{edge - back, fill, allow})
+				}
+			}
+		}
+	}
+	// Strings that fill their chunk up to its end, so the scan walks into
+	// the next, unmapped chunk, starting at both alignments.
+	for _, start := range []uint64{5*ChunkSize + 4, 5*ChunkSize + 6} {
+		for _, allow := range []int{-1, 0, 1} {
+			cases = append(cases, scan{start, int64(6*ChunkSize - start), allow})
+		}
+	}
+	cases = append(cases, scan{SpanSize, 0, -1}, scan{0x2A<<56 | 0x1000, 0, -1})
+
+	// A byte string is all 0x41; a wide one repeats 00 00 41 00, so each
+	// element has zero bytes but is not zero.
+	prepare := func(c scan, width int64) (*Space, *int) {
+		s := newSpace(t)
+		if c.start < SpanSize && c.fill > 0 {
+			unit := []byte{0x41}
+			if width == 4 {
+				unit = []byte{0, 0, 0x41, 0}
+			}
+			b := bytes.Repeat(unit, int(c.fill))[:c.fill]
+			if f := s.WriteBytes(c.start, b); f != nil {
+				t.Fatalf("prepare %+v: %v", c, f)
+			}
+		}
+		calls := new(int)
+		if c.allow >= 0 {
+			s.SetFaultHook(func() bool { *calls++; return *calls > c.allow })
+		}
+		return s, calls
+	}
+	for _, c := range cases {
+		for _, width := range []int64{1, 4} {
+			got, gotCalls := prepare(c, width)
+			want, wantCalls := prepare(c, width)
+			n, wn := got.ScanZero(c.start, width), scanZeroByLoads(want, c.start, width)
+			if n != wn {
+				t.Fatalf("%+v width %d: ScanZero = %d, element loads give %d", c, width, n, wn)
+			}
+			if *gotCalls != *wantCalls {
+				t.Fatalf("%+v width %d: fault hook called %d times, element loads call it %d times", c, width, *gotCalls, *wantCalls)
+			}
+			if !reflect.DeepEqual(got.store.touchedIdx, want.store.touchedIdx) {
+				t.Fatalf("%+v width %d: chunks materialized %v, element loads materialize %v", c, width, got.store.touchedIdx, want.store.touchedIdx)
+			}
+		}
+	}
+}

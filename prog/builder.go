@@ -72,6 +72,7 @@ func (pb *ProgramBuilder) Build() (*Program, error) {
 	if err := Validate(pb.prog); err != nil {
 		return nil, err
 	}
+	pb.prog.Compact()
 	return pb.prog, nil
 }
 

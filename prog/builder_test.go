@@ -391,3 +391,24 @@ func TestDumpRendersEveryOpcode(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildStoresExactSize checks that Build leaves no append slack in a
+// function's code or the global table.
+func TestBuildStoresExactSize(t *testing.T) {
+	pb := NewProgram()
+	for _, name := range []string{"a", "b", "c"} {
+		pb.Global(name, Int())
+	}
+	f := pb.Function("main", 0)
+	for i := 0; i < 5; i++ {
+		f.Const(int64(i))
+	}
+	f.RetVoid()
+	p := pb.MustBuild()
+	if cap(p.Globals) != len(p.Globals) {
+		t.Errorf("globals len %d cap %d", len(p.Globals), cap(p.Globals))
+	}
+	if c := p.Funcs["main"].Code; cap(c) != len(c) {
+		t.Errorf("code len %d cap %d", len(c), cap(c))
+	}
+}

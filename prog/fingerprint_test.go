@@ -1,6 +1,9 @@
 package prog
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // buildOverflow builds a small program; off parameterizes the store offset
 // so tests can produce structurally distinct variants.
@@ -65,5 +68,14 @@ func TestFingerprintTypeStructure(t *testing.T) {
 	b := build(StructOf("S", FieldSpec{Name: "a", Type: ArrayOf(Char(), 16)}, FieldSpec{Name: "b", Type: Int64T()}))
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("struct layout change behind the same name not reflected in fingerprint")
+	}
+}
+
+// TestInstrSize pins the packed instruction layout: Flags shares the first
+// word with Op and X. Fingerprints write each field explicitly, so the
+// layout does not reach them.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 88 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 88", got)
 	}
 }

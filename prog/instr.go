@@ -139,10 +139,12 @@ const (
 
 // Instr is one IR instruction. The operand meaning depends on Op; see the
 // opcode constants. Instr is a value type: programs are flat []Instr slices
-// for interpreter cache friendliness.
+// for interpreter cache friendliness. Flags sits beside Op and X so the
+// three share one word and an Instr is 88 bytes, not 96.
 type Instr struct {
 	Op    Op
 	X     uint8 // BinOp, CmpPred, or check-kind discriminator
+	Flags Flag
 	Dst   Reg
 	A     Reg
 	B     Reg
@@ -152,7 +154,6 @@ type Instr struct {
 	Type  *Type
 	Sym   string
 	Args  []Reg
-	Flags Flag
 }
 
 // Has reports whether all bits of f are set.
@@ -242,13 +243,15 @@ type Program struct {
 	link atomic.Pointer[Link]
 }
 
-// Clone returns a deep copy of the program that instrumentation may rewrite
-// freely.
+// Clone returns a copy of the program whose functions instrumentation may
+// rewrite freely. The Globals slice is shared with p: a pass that changes a
+// global must copy the slice first, so an unchanged global table is stored
+// once for a program and its instrumented copies.
 func (p *Program) Clone() *Program {
 	np := &Program{
 		Funcs:   make(map[string]*Func, len(p.Funcs)),
 		Order:   append([]string(nil), p.Order...),
-		Globals: append([]GlobalSpec(nil), p.Globals...),
+		Globals: p.Globals,
 		Entry:   p.Entry,
 	}
 	for name, f := range p.Funcs {
@@ -268,4 +271,24 @@ func (p *Program) Clone() *Program {
 		np.Funcs[name] = nf
 	}
 	return np
+}
+
+// Compact reallocates every function's code and the global table into
+// exact-size slices wherever appends left spare capacity. Builders call it
+// once, just before they publish a program: a cached program lives as long
+// as its cache, so the slack would be paid for that long.
+func (p *Program) Compact() {
+	p.Globals = exact(p.Globals)
+	for _, f := range p.Funcs {
+		f.Code = exact(f.Code)
+	}
+}
+
+// exact returns s itself when it has no spare capacity, otherwise a copy
+// whose capacity equals its length.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
