@@ -79,14 +79,18 @@ bench-smoke:
 	$(GO) run ./cmd/temporalbench -json artifacts/temporal.json
 	$(GATE) -baseline BENCH_temporal.json -fresh artifacts/temporal.json
 
-# Per-layer microbenchmarks of the memory path, six samples each, printed
-# for benchstat-style comparison; writes no file. Load8/Store8: one 8-byte
-# access as the interpreter makes it; Fill: a 4 KiB poisoning fill;
-# HeapAllocFree: small-chunk malloc/free churn; SpecLoop: ns per decoded
-# instruction; PooledCase: one Juliet case's NewMachine, Run and Release.
+# Per-layer microbenchmarks of the memory path and of set-up, six samples
+# each, printed for benchstat-style comparison; writes no file. Load8/Store8:
+# one 8-byte access as the interpreter makes it; Fill: a 4 KiB poisoning
+# fill; HeapAllocFree: small-chunk malloc/free churn; SpecLoop: ns per
+# decoded instruction; PooledCase: one Juliet case's NewMachine, Run and
+# Release; Generate: building Juliet programs; Fingerprint: a first
+# Program.Fingerprint; Apply: instrumenting one Juliet program per Table II
+# tool.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'Load8|Store8|Fill|HeapAllocFree|SpecLoop|PooledCase' -count 6 \
-		./internal/mem ./internal/alloc ./internal/interp ./internal/engine
+	$(GO) test -run '^$$' -bench 'Load8|Store8|Fill|HeapAllocFree|SpecLoop|PooledCase|Generate|Fingerprint|Apply' \
+		-benchmem -count 6 ./internal/mem ./internal/alloc ./internal/interp ./internal/engine \
+		./internal/juliet ./prog ./internal/instrument
 
 # Benchmark determinism: perfbench is its own module, so `go test ./...` at
 # the root never reaches it. Its test pins the Juliet verdict vector against

@@ -1,7 +1,7 @@
 // Package instrument implements the compile-time half of every sanitizer in
 // this repository: the analogue of CECSan's LTO instrumentation pass (§III).
 //
-// Apply clones a program and rewrites it according to a sanitizer's
+// Apply rewrites a copy of a program according to a sanitizer's
 // rt.Profile: it classifies stack and global objects as safe or unsafe
 // (§II.C.3), inserts dereference checks, sub-object narrowing (§II.D) and
 // per-pointer metadata propagation (SoftBound), and then runs the §II.F
@@ -29,62 +29,82 @@ type objInfo struct {
 	heap bool
 }
 
-// funcAnalysis holds per-function static facts shared by the passes.
+// funcAnalysis holds per-function static facts shared by the passes. Its
+// tables are indexed by register and reused across Apply calls.
 type funcAnalysis struct {
-	fn *prog.Func
-
 	// defCount[r] is the number of instructions assigning r. Only
 	// single-assignment registers carry object info (a cheap SSA check).
-	defCount []int
+	defCount []int32
 
 	// info[r] is the pointed-at region for single-assignment registers.
 	info []objInfo
 
-	// aliases[r] reports that r is derived from some alloca or global
-	// address (directly or through Mov/GEP chains); root[r] is the alloca
-	// instruction index (or -1 for globals) it derives from.
-	aliasRootAlloca []int    // -1: none/unknown; else index into fn.Code
-	aliasRootGlobal []string // "" when not derived from a global
-
-	// leader[i] is true when instruction i starts a basic block.
-	leader []bool
+	// aliasRootAlloca[r] is the alloca instruction index r derives from
+	// (directly or through Mov/GEP chains), -1 for none or unknown;
+	// aliasRootGlobal[r] is the global it derives from: an index into
+	// Globals, noGlobal, or unknownGlobal for an address of a symbol the
+	// program does not declare.
+	aliasRootAlloca []int32
+	aliasRootGlobal []int32
 }
 
-// analyze computes the static facts for one function.
-func analyze(f *prog.Func, globalSize map[string]int64) *funcAnalysis {
-	a := &funcAnalysis{
-		fn:              f,
-		defCount:        make([]int, f.NumRegs),
-		info:            make([]objInfo, f.NumRegs),
-		aliasRootAlloca: make([]int, f.NumRegs),
-		aliasRootGlobal: make([]string, f.NumRegs),
-		leader:          make([]bool, len(f.Code)+1),
+const (
+	noGlobal      = -1
+	unknownGlobal = -2
+)
+
+// indexGlobals maps each global's name to its index in p.Globals; the
+// last of duplicate names wins.
+func (s *scratch) indexGlobals(p *prog.Program) {
+	for i := range p.Globals {
+		s.globalIdx[p.Globals[i].Name] = int32(i)
 	}
+}
+
+// globalRoot is the aliasRootGlobal value of an address of symbol sym.
+func (s *scratch) globalRoot(sym string) int32 {
+	if sym == "" {
+		return noGlobal
+	}
+	if gi, ok := s.globalIdx[sym]; ok {
+		return gi
+	}
+	return unknownGlobal
+}
+
+// analyzeAll analyzes every function of p, in Order, into the scratch's
+// reusable analyses. The passes read only these facts of the source code,
+// so global classification and instrumentation share them.
+func (s *scratch) analyzeAll(p *prog.Program) []funcAnalysis {
+	for len(s.analyses) < len(p.Order) {
+		s.analyses = append(s.analyses, funcAnalysis{})
+	}
+	as := s.analyses[:len(p.Order)]
+	for i, name := range p.Order {
+		s.analyze(&as[i], p.Funcs[name], p.Globals)
+	}
+	return as
+}
+
+// analyze computes the static facts for one function into a.
+func (s *scratch) analyze(a *funcAnalysis, f *prog.Func, globals []prog.GlobalSpec) {
+	a.defCount = zeroed(a.defCount, f.NumRegs)
+	a.info = zeroed(a.info, f.NumRegs)
+	a.aliasRootAlloca = zeroed(a.aliasRootAlloca, f.NumRegs)
+	a.aliasRootGlobal = zeroed(a.aliasRootGlobal, f.NumRegs)
 	for r := range a.aliasRootAlloca {
 		a.aliasRootAlloca[r] = -1
+		a.aliasRootGlobal[r] = noGlobal
 	}
 	// Parameters count as definitions (values arrive from the caller).
 	for r := 0; r < f.NumParams; r++ {
 		a.defCount[r]++
 	}
-
 	for i := range f.Code {
-		in := &f.Code[i]
-		if in.Dst != prog.NoReg {
-			a.defCount[in.Dst]++
-		}
-		switch in.Op {
-		case prog.OpBr:
-			a.leader[in.Imm] = true
-			if i+1 <= len(f.Code) {
-				a.leader[i+1] = true
-			}
-		case prog.OpCondBr:
-			a.leader[in.Imm] = true
-			a.leader[i+1] = true
+		if dst := f.Code[i].Dst; dst != prog.NoReg {
+			a.defCount[dst]++
 		}
 	}
-	a.leader[0] = true
 
 	// Object info, forward pass; only single-assignment registers keep it.
 	set := func(r prog.Reg, oi objInfo) {
@@ -92,13 +112,13 @@ func analyze(f *prog.Func, globalSize map[string]int64) *funcAnalysis {
 			a.info[r] = oi
 		}
 	}
-	root := func(r prog.Reg) (int, string) {
+	root := func(r prog.Reg) (int32, int32) {
 		if r == prog.NoReg {
-			return -1, ""
+			return -1, noGlobal
 		}
 		return a.aliasRootAlloca[r], a.aliasRootGlobal[r]
 	}
-	setRoot := func(r prog.Reg, ai int, g string) {
+	setRoot := func(r prog.Reg, ai, g int32) {
 		if r != prog.NoReg && a.defCount[r] == 1 {
 			a.aliasRootAlloca[r] = ai
 			a.aliasRootGlobal[r] = g
@@ -110,7 +130,7 @@ func analyze(f *prog.Func, globalSize map[string]int64) *funcAnalysis {
 		switch in.Op {
 		case prog.OpAlloca:
 			set(in.Dst, objInfo{known: true, size: in.Size})
-			setRoot(in.Dst, i, "")
+			setRoot(in.Dst, int32(i), noGlobal)
 		case prog.OpMalloc:
 			// Only constant-size allocations have a compile-time range, and
 			// heap provenance disqualifies the region from check removal.
@@ -118,10 +138,11 @@ func analyze(f *prog.Func, globalSize map[string]int64) *funcAnalysis {
 				set(in.Dst, objInfo{known: true, size: in.Size, heap: true})
 			}
 		case prog.OpGlobalAddr:
-			if sz, ok := globalSize[in.Sym]; ok {
-				set(in.Dst, objInfo{known: true, size: sz})
+			g := s.globalRoot(in.Sym)
+			if g >= 0 {
+				set(in.Dst, objInfo{known: true, size: globals[g].Type.Size()})
 			}
-			setRoot(in.Dst, -1, in.Sym)
+			setRoot(in.Dst, -1, g)
 		case prog.OpMov:
 			if in.A != prog.NoReg && a.defCount[in.A] == 1 {
 				set(in.Dst, a.info[in.A])
@@ -139,7 +160,7 @@ func analyze(f *prog.Func, globalSize map[string]int64) *funcAnalysis {
 				// Provenance: the derived region is heap-rooted unless the
 				// base is provably an alloca or global.
 				heapRooted := true
-				if a.aliasRootAlloca[in.A] >= 0 || a.aliasRootGlobal[in.A] != "" {
+				if a.aliasRootAlloca[in.A] >= 0 || a.aliasRootGlobal[in.A] != noGlobal {
 					heapRooted = false
 				} else if in.A != prog.NoReg && a.defCount[in.A] == 1 && a.info[in.A].known {
 					heapRooted = a.info[in.A].heap
@@ -152,7 +173,6 @@ func analyze(f *prog.Func, globalSize map[string]int64) *funcAnalysis {
 			setRoot(in.Dst, ai, g)
 		}
 	}
-	return a
 }
 
 // staticallySafeAccess reports whether the access [off, off+size) through
@@ -170,13 +190,11 @@ func (a *funcAnalysis) staticallySafeAccess(r prog.Reg, off, size int64) bool {
 // need metadata: objects whose address escapes (passed to calls, stored to
 // memory, freed) or that are accessed through a pointer that cannot be
 // statically proven in-bounds. Safe scalars accessed directly through the
-// stack pointer stay untracked. It returns tracked[i] for each instruction
-// index in f.Allocas.
-func classifyStackObjects(f *prog.Func, a *funcAnalysis) map[int]bool {
-	tracked := make(map[int]bool, len(f.Allocas))
-	for _, ai := range f.Allocas {
-		tracked[ai] = false
-	}
+// stack pointer stay untracked. It returns tracked[i] per instruction
+// index, true for the allocas that need metadata.
+func (s *scratch) classifyStackObjects(f *prog.Func, a *funcAnalysis) []bool {
+	s.tracked = zeroed(s.tracked, len(f.Code))
+	tracked := s.tracked
 	unsafeRoot := func(r prog.Reg) {
 		if r == prog.NoReg {
 			return
@@ -221,22 +239,22 @@ func classifyStackObjects(f *prog.Func, a *funcAnalysis) map[int]bool {
 
 // classifyGlobals marks globals whose address is used unsafely anywhere in
 // the program, augmenting the author-declared AddressTaken flags, so that
-// only unsafe globals pay for GPT indirection (§II.C.3).
-func classifyGlobals(p *prog.Program) map[string]bool {
-	unsafe := make(map[string]bool, len(p.Globals))
-	sizes := make(map[string]int64, len(p.Globals))
+// only unsafe globals pay for GPT indirection (§II.C.3). It returns
+// unsafe[i] per index into p.Globals, set at the index globalIdx names.
+func (s *scratch) classifyGlobals(p *prog.Program, as []funcAnalysis) []bool {
+	s.unsafe = zeroed(s.unsafe, len(p.Globals))
+	unsafe := s.unsafe
 	for _, g := range p.Globals {
-		unsafe[g.Name] = g.AddressTaken
-		sizes[g.Name] = g.Type.Size()
+		unsafe[s.globalIdx[g.Name]] = g.AddressTaken
 	}
-	for _, name := range p.Order {
+	for fi, name := range p.Order {
 		f := p.Funcs[name]
-		a := analyze(f, sizes)
+		a := &as[fi]
 		mark := func(r prog.Reg) {
 			if r == prog.NoReg {
 				return
 			}
-			if g := a.aliasRootGlobal[r]; g != "" {
+			if g := a.aliasRootGlobal[r]; g >= 0 {
 				unsafe[g] = true
 			}
 		}

@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"bytes"
+	"hash/fnv"
 	"testing"
 	"unsafe"
 )
@@ -77,5 +79,22 @@ func TestFingerprintTypeStructure(t *testing.T) {
 func TestInstrSize(t *testing.T) {
 	if got := unsafe.Sizeof(Instr{}); got != 88 {
 		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 88", got)
+	}
+}
+
+// TestFNV128aMatchesStdlib pins the in-register FNV-1a against hash/fnv's
+// New128a on inputs of every length up to 300 bytes, so fingerprints stay
+// what streaming the same bytes through the standard hash gives.
+func TestFNV128aMatchesStdlib(t *testing.T) {
+	b := make([]byte, 300)
+	for i := range b {
+		b[i] = byte(i*131 + 7)
+	}
+	for n := 0; n <= len(b); n++ {
+		h := fnv.New128a()
+		h.Write(b[:n])
+		if got, want := fnv128a(b[:n]), h.Sum(nil); !bytes.Equal(got[:], want) {
+			t.Fatalf("%d bytes: %x, hash/fnv %x", n, got, want)
+		}
 	}
 }

@@ -227,7 +227,8 @@ type GlobalSpec struct {
 }
 
 // Program is a complete translation unit: functions, globals and an entry
-// point. Programs are immutable after Build; instrumentation copies them.
+// point. Programs are immutable after Build; instrumentation builds a new
+// program that shares whatever it does not change.
 type Program struct {
 	Funcs   map[string]*Func
 	Order   []string // function names in definition order
@@ -236,59 +237,17 @@ type Program struct {
 
 	// fp memoizes Fingerprint. The engine fingerprints every program on
 	// every cache lookup; programs are immutable once built, so the hash is
-	// computed once. Clone deliberately leaves the copy's memo empty.
+	// computed once.
 	fp atomic.Pointer[Fingerprint]
-	// link memoizes Link on the same terms: computed once per program,
-	// left empty by Clone.
+	// link memoizes Link on the same terms: computed once per program.
 	link atomic.Pointer[Link]
 }
 
-// Clone returns a copy of the program whose functions instrumentation may
-// rewrite freely. The Globals slice is shared with p: a pass that changes a
-// global must copy the slice first, so an unchanged global table is stored
-// once for a program and its instrumented copies.
-func (p *Program) Clone() *Program {
-	np := &Program{
-		Funcs:   make(map[string]*Func, len(p.Funcs)),
-		Order:   append([]string(nil), p.Order...),
-		Globals: p.Globals,
-		Entry:   p.Entry,
-	}
-	for name, f := range p.Funcs {
-		nf := &Func{
-			Name:      f.Name,
-			NumParams: f.NumParams,
-			NumRegs:   f.NumRegs,
-			Code:      append([]Instr(nil), f.Code...),
-			Loops:     append([]Loop(nil), f.Loops...),
-			Allocas:   append([]int(nil), f.Allocas...),
-		}
-		for i := range nf.Code {
-			if nf.Code[i].Args != nil {
-				nf.Code[i].Args = append([]Reg(nil), nf.Code[i].Args...)
-			}
-		}
-		np.Funcs[name] = nf
-	}
-	return np
-}
-
-// Compact reallocates every function's code and the global table into
-// exact-size slices wherever appends left spare capacity. Builders call it
-// once, just before they publish a program: a cached program lives as long
-// as its cache, so the slack would be paid for that long.
-func (p *Program) Compact() {
-	p.Globals = exact(p.Globals)
-	for _, f := range p.Funcs {
-		f.Code = exact(f.Code)
-	}
-}
-
-// exact returns s itself when it has no spare capacity, otherwise a copy
-// whose capacity equals its length.
-func exact[T any](s []T) []T {
-	if cap(s) == len(s) {
-		return s
+// exactCopy returns a copy of s whose capacity equals its length, nil when
+// s is empty.
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
 	return append(make([]T, 0, len(s)), s...)
 }

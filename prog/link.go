@@ -27,8 +27,7 @@ type LinkedFunc struct {
 
 // Link returns the program's resolution table. It is memoized on first
 // call, exactly like Fingerprint: programs are immutable after Build, so a
-// program must not be mutated after its first Link call, and Clone leaves
-// the copy's memo empty. Concurrent first calls may each compute the table;
+// program must not be mutated after its first Link call. Concurrent first calls may each compute the table;
 // they compute the same one and either may be kept.
 func (p *Program) Link() *Link {
 	if l := p.link.Load(); l != nil {

@@ -8,7 +8,7 @@ import (
 // TestLinkResolves pins the link table: call and parfor targets become
 // function indices, global addresses GPT slots (indices into Globals),
 // every other instruction -1, a function with nothing to resolve gets no
-// table, the result is memoized, and Clone starts with an empty memo.
+// table, and the result is memoized.
 func TestLinkResolves(t *testing.T) {
 	pb := NewProgram()
 	pb.GlobalInit("first", Int(), 1)
@@ -44,9 +44,6 @@ func TestLinkResolves(t *testing.T) {
 		if got := mainLink.Targets[pc]; got != w {
 			t.Errorf("main@%d (%v %q): target %d, want %d", pc, in.Op, in.Sym, got, w)
 		}
-	}
-	if c := p.Clone(); c.link.Load() != nil {
-		t.Error("Clone copied the link memo")
 	}
 }
 

@@ -20,6 +20,7 @@ package prog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -95,7 +96,7 @@ func ArrayOf(elem *Type, n int64) *Type {
 		kind:   KindArray,
 		size:   elem.size * n,
 		align:  elem.align,
-		name:   fmt.Sprintf("%s[%d]", elem.name, n),
+		name:   elem.name + "[" + strconv.FormatInt(n, 10) + "]",
 		elem:   elem,
 		length: n,
 	}
