@@ -298,6 +298,25 @@ func TestReadCheckDoesNotSubsumeWrite(t *testing.T) {
 	}
 }
 
+// TestRedefinitionEndsRedundancy requires a check to survive when its
+// pointer register was reassigned since an identical earlier check in the
+// block: the two checks guard different objects.
+func TestRedefinitionEndsRedundancy(t *testing.T) {
+	pb := prog.NewProgram()
+	f := pb.Function("main", 0)
+	a, b := f.MallocBytes(16), f.MallocBytes(16)
+	p := f.Mov(a)
+	f.Store(p, 0, f.Const(1), prog.Int64T())
+	f.Assign(p, b)
+	f.Store(p, 0, f.Const(2), prog.Int64T())
+	f.RetVoid()
+	san, _ := core.Sanitizer(cecsanOpts())
+	ip := Apply(pb.MustBuild(), san.Profile)
+	if got := countOps(ip.Funcs["main"], prog.OpCheckAccess); got != 2 {
+		t.Fatalf("checks = %d, want 2 (one per object)\n%s", got, ip.Funcs["main"].Dump())
+	}
+}
+
 // TestLoopInvariantHoisting verifies §II.F.1: a check on a loop-invariant
 // pointer executes once (after the loop), not once per iteration — for
 // stores too, which redzone-based tools cannot relocate.
