@@ -114,7 +114,7 @@ serve-smoke:
 	test -s artifacts/metrics-serve-smoke.json
 	test -s artifacts/serve-flight.jsonl
 
-# Overload-resilience smoke, three gates in one target:
+# Overload-resilience smoke, two gates in one target:
 #
 #  1. Chaos determinism: the same seeded chaos campaign (3 storm/calm
 #     phases = 1152 requests) at two worker counts must each match the
@@ -124,10 +124,6 @@ serve-smoke:
 #     closed-loop campaign must match the unarmed BENCH_serve.json exactly,
 #     zero breaker trips included — the overload layer must be invisible
 #     when nothing is wrong.
-#  3. Overload sweep: calibrate capacity, then sweep open-loop past it.
-#     Every point must complete requests, hold full hardening (no ladder
-#     step-down) and keep goodput at or above half the same run's
-#     calibrated capacity.
 CHAOS := -spec examples/workloads/interactive-batch.yaml \
 	-seed 42 -chaos-seed 11 -max-requests 1152
 overload-smoke:
@@ -138,9 +134,6 @@ overload-smoke:
 	$(GO) run ./cmd/serve -spec examples/workloads/interactive-batch.yaml \
 		-max-requests 2000 -resilience -json artifacts/serve-resilience.json
 	$(GATE) -baseline BENCH_serve.json -fresh artifacts/serve-resilience.json
-	$(GO) run ./cmd/serve -spec examples/workloads/interactive-batch.yaml \
-		-overload -json artifacts/overload.json
-	$(GATE) -fresh artifacts/overload.json
 
 # Crash-recovery smoke, the kill -9 acceptance gate, four legs in one
 # scratch dir:

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	benchgate -baseline BENCH_table2.json -fresh artifacts/table2.json
-//	benchgate -fresh artifacts/overload.json
 //	benchgate -fresh artifacts/table2.json -write BENCH_table2.json
 //
 // The record kind is read from the record's "bench" field:
@@ -15,16 +14,14 @@
 //	table2    julietbench -json (Table II)
 //	serve     cmd/serve -json (also the chaos campaign)
 //	temporal  temporalbench -json
-//	overload  cmd/serve -overload -json (no exact fields)
 //
 // With -baseline the projection of the fresh record must equal the
 // projection of the baseline; each differing field is printed on its own
 // line. With -write the fresh record's projection replaces the baseline
-// file. Both also run the fresh-only invariants of the kind: a serve record
-// must complete requests in every class, evict no interesting flight
-// traces and, unless it is a chaos campaign, keep every SLO; an overload sweep must complete requests at
-// every point, never step down the degradation ladder, and hold goodput at
-// or above minGoodputFrac of its own calibrated capacity.
+// file; one of the two is required. Both also run the fresh-only
+// invariants of the kind: a serve record must complete requests in every
+// class, evict no interesting flight traces and, unless it is a chaos
+// campaign, keep every SLO.
 //
 // Exit status:
 //
@@ -49,11 +46,6 @@ import (
 
 	"cecsan/internal/cliutil"
 )
-
-// minGoodputFrac is the overload sweep's floor: every point's goodput must
-// reach this fraction of the same record's calibrated capacity. Both come
-// from one run on one machine, so the ratio does not measure the host.
-const minGoodputFrac = 0.5
 
 // corruptError marks a record file that exists but cannot be parsed — a
 // truncated write, a merge accident, a hand edit gone wrong. It gets its
@@ -162,21 +154,8 @@ type serveFresh struct {
 	} `json:"slo"`
 }
 
-// overloadFresh mirrors what the fresh-only overload invariants read.
-type overloadFresh struct {
-	CapacityPerSec float64 `json:"capacity_per_sec"`
-	Points         []struct {
-		Multiple float64 `json:"multiple"`
-		Result   struct {
-			Completed     int64   `json:"completed"`
-			GoodputPerSec float64 `json:"goodput_per_sec"`
-			Degradations  int64   `json:"degradations"`
-		} `json:"result"`
-	} `json:"points"`
-}
-
-// kind is one record kind: its exact projection (nil when the kind has no
-// exact fields) and its fresh-only invariants (nil when it has none).
+// kind is one record kind: its exact projection and its fresh-only
+// invariants (nil when it has none).
 type kind struct {
 	exact func() any
 	check func(data []byte) ([]string, error)
@@ -186,7 +165,6 @@ var kinds = map[string]kind{
 	"table2":   {exact: func() any { return new(table2Exact) }},
 	"serve":    {exact: func() any { return new(serveExact) }, check: checkServe},
 	"temporal": {exact: func() any { return new(temporalExact) }},
-	"overload": {check: checkOverload},
 }
 
 // record is one parsed record file.
@@ -221,6 +199,9 @@ func run(args []string, out io.Writer) error {
 	if *baselinePath != "" && *writePath != "" {
 		return fmt.Errorf("-baseline and -write are exclusive")
 	}
+	if *baselinePath == "" && *writePath == "" {
+		return fmt.Errorf("-fresh needs -baseline or -write")
+	}
 	fresh, err := load(*freshPath)
 	if err != nil {
 		return err
@@ -233,25 +214,7 @@ func run(args []string, out io.Writer) error {
 			return &corruptError{path: fresh.path, err: err}
 		}
 	}
-	switch {
-	case *writePath != "":
-		if k.exact == nil {
-			return fmt.Errorf("%s records have no exact fields to write", fresh.kind)
-		}
-		if len(failures) > 0 {
-			break
-		}
-		proj, err := project(fresh, k)
-		if err != nil {
-			return err
-		}
-		if err := cliutil.WriteJSON(*writePath, proj); err != nil {
-			return err
-		}
-	case *baselinePath != "":
-		if k.exact == nil {
-			return fmt.Errorf("%s records have no exact fields; gate them without -baseline", fresh.kind)
-		}
+	if *baselinePath != "" {
 		base, err := load(*baselinePath)
 		if err != nil {
 			return err
@@ -270,8 +233,14 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		diff("", trees[0], trees[1], &failures)
-	case k.exact != nil:
-		return fmt.Errorf("%s records need -baseline or -write", fresh.kind)
+	} else if len(failures) == 0 {
+		proj, err := project(fresh, k)
+		if err != nil {
+			return err
+		}
+		if err := cliutil.WriteJSON(*writePath, proj); err != nil {
+			return err
+		}
 	}
 
 	for _, f := range failures {
@@ -440,33 +409,6 @@ func checkServe(data []byte) ([]string, error) {
 		}
 		if st.P99Violated {
 			failures = append(failures, fmt.Sprintf("slo[%s].p99_violated: p99 objective violated", st.Class))
-		}
-	}
-	return failures, nil
-}
-
-// checkOverload applies the fresh-only overload-sweep invariants.
-func checkOverload(data []byte) ([]string, error) {
-	var r overloadFresh
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	var failures []string
-	if len(r.Points) == 0 {
-		failures = append(failures, "points: no sweep points")
-	}
-	floor := minGoodputFrac * r.CapacityPerSec
-	for _, p := range r.Points {
-		switch {
-		case p.Result.Completed == 0:
-			failures = append(failures, fmt.Sprintf("points[%gx].completed: 0 requests", p.Multiple))
-		case p.Result.GoodputPerSec < floor:
-			failures = append(failures, fmt.Sprintf("points[%gx].goodput_per_sec: %.0f below %.0f (%g x capacity %.0f)",
-				p.Multiple, p.Result.GoodputPerSec, floor, minGoodputFrac, r.CapacityPerSec))
-		}
-		if p.Result.Degradations > 0 {
-			failures = append(failures, fmt.Sprintf("points[%gx].degradations: stepped down the ladder %d time(s)",
-				p.Multiple, p.Result.Degradations))
 		}
 	}
 	return failures, nil

@@ -60,57 +60,29 @@ func entry(t *testing.T, m map[string]any, key, label string) map[string]any {
 	return nil
 }
 
-// overloadRecord is a well-formed sweep: capacity 1000 req/s, every point
-// at or above half of it, no step-downs.
-func overloadRecord() map[string]any {
-	point := func(mult, goodput float64) map[string]any {
-		return map[string]any{
-			"multiple":        mult,
-			"offered_per_sec": 1000 * mult,
-			"result": map[string]any{
-				"completed":       4000,
-				"goodput_per_sec": goodput,
-				"degradations":    0,
-				"elapsed_sec":     0.1,
-			},
-		}
-	}
-	return map[string]any{
-		"bench":            "overload",
-		"capacity_per_sec": 1000.0,
-		"points":           []any{point(1, 900), point(2, 700), point(4, 500)},
-	}
-}
-
 // TestCorruptBaselineIsLoudAndTyped: a truncated record (the classic
 // interrupted-write artifact) must surface as a corruptError — the marker
 // main maps to exit 2 — whose one-line message names the damaged path, for
-// every record kind, whether it is the baseline or the fresh record.
+// every committed record, whether it is the baseline or the fresh record.
 func TestCorruptBaselineIsLoudAndTyped(t *testing.T) {
-	overload, err := json.MarshalIndent(overloadRecord(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	committed, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed baselines found: %v", err)
 	}
-	sources := []struct {
-		name string
-		load func() ([]byte, error)
-	}{
-		{"serve", func() ([]byte, error) { return os.ReadFile("../../BENCH_serve.json") }},
-		{"bench", func() ([]byte, error) { return os.ReadFile("../../BENCH_table2.json") }},
-		{"overload", func() ([]byte, error) { return overload, nil }},
-	}
-	for _, src := range sources {
-		t.Run(src.name, func(t *testing.T) {
-			whole, err := src.load()
+	for _, path := range committed {
+		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+		t.Run(name, func(t *testing.T) {
+			whole, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("record unreadable: %v", err)
 			}
-			truncated := filepath.Join(t.TempDir(), "BENCH_"+src.name+".json")
+			dir := t.TempDir()
+			truncated := filepath.Join(dir, filepath.Base(path))
 			if err := os.WriteFile(truncated, whole[:len(whole)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			for _, args := range [][]string{
-				{"-fresh", truncated},
+				{"-fresh", truncated, "-write", filepath.Join(dir, "out.json")},
 				{"-baseline", truncated, "-fresh", "../../BENCH_serve.json"},
 			} {
 				_, err := gate(t, args...)
@@ -134,8 +106,15 @@ func TestCorruptBaselineIsLoudAndTyped(t *testing.T) {
 	// A record of no known kind is damaged input too.
 	unknown := writeTree(t, map[string]any{"bench": "nosuch"})
 	var ce *corruptError
-	if _, err := gate(t, "-fresh", unknown); !errors.As(err, &ce) {
+	if _, err := gate(t, "-fresh", unknown, "-write", filepath.Join(t.TempDir(), "b.json")); !errors.As(err, &ce) {
 		t.Fatalf("unknown kind must be classified corrupt, got %v", err)
+	}
+
+	// -fresh alone has nothing to gate against: it is refused before the
+	// record is read, so even a damaged record draws the usage error.
+	_, err = gate(t, "-fresh", unknown)
+	if err == nil || errors.As(err, &ce) || !strings.Contains(err.Error(), "needs -baseline or -write") {
+		t.Fatalf("-fresh alone: want the usage error, got %v", err)
 	}
 
 	// A missing file stays a plain os error, never a corruption verdict.
@@ -259,30 +238,6 @@ func TestServeFreshInvariants(t *testing.T) {
 		if err == nil || !strings.Contains(out, "DRIFT: "+name+":") {
 			t.Fatalf("%s: want a failure naming the field, got %v\n%s", name, err, out)
 		}
-	}
-}
-
-// TestOverloadGate: the overload sweep has no exact fields; it passes on
-// its fresh-only invariants and fails on a point below half the calibrated
-// capacity or a point that stepped down the degradation ladder.
-func TestOverloadGate(t *testing.T) {
-	if out, err := gate(t, "-fresh", writeTree(t, overloadRecord())); err != nil {
-		t.Fatalf("well-formed sweep failed: %v\n%s", err, out)
-	}
-	for field, mutate := range map[string]func(p map[string]any){
-		"points[4x].goodput_per_sec": func(p map[string]any) { p["goodput_per_sec"] = 499.0 },
-		"points[4x].degradations":    func(p map[string]any) { p["degradations"] = 1 },
-		"points[4x].completed":       func(p map[string]any) { p["completed"] = 0 },
-	} {
-		rec := overloadRecord()
-		mutate(rec["points"].([]any)[2].(map[string]any)["result"].(map[string]any))
-		out, err := gate(t, "-fresh", writeTree(t, rec))
-		if err == nil || !strings.Contains(out, "DRIFT: "+field+":") {
-			t.Fatalf("%s: want a failure naming the field, got %v\n%s", field, err, out)
-		}
-	}
-	if _, err := gate(t, "-baseline", "../../BENCH_serve.json", "-fresh", writeTree(t, overloadRecord())); err == nil {
-		t.Fatal("an overload record gated against a baseline must be refused")
 	}
 }
 

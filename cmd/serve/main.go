@@ -9,7 +9,7 @@
 //	serve -spec examples/workloads/interactive-batch.yaml
 //	      [-seed N] [-workers N] [-max-requests N] [-duration 30s]
 //	      [-speedup X] [-queue N]
-//	      [-resilience] [-chaos-seed N] [-retry-max N] [-overload]
+//	      [-resilience] [-chaos-seed N] [-retry-max N]
 //	      [-checkpoint s.ckpt] [-checkpoint-every N] [-resume s.ckpt]
 //	      [-supervise] [-max-restarts N]
 //	      [-flight f.jsonl] [-flight-budget N] [-flight-sample N]
@@ -30,10 +30,6 @@
 // derive from (chaos seed, stream index), execution switches to per-class
 // ordered consumers, and the summary's chaos_digest is byte-identical at
 // any -workers for a closed-loop run.
-//
-// -overload replaces the single campaign with a sweep: one closed-loop
-// calibration run measures capacity, then 5000-request points replay the
-// stream open-loop at 1, 2 and 4 times capacity with resilience armed.
 //
 // The request stream (and the stream_digest in the summary) depends only
 // on (spec, seed): rerunning with a different -workers, -speedup or any
@@ -112,13 +108,6 @@ type benchRecord struct {
 	*traffic.ServeResult
 }
 
-// overloadRecord is the -overload -json payload.
-type overloadRecord struct {
-	Bench string `json:"bench"`
-	Spec  string `json:"spec"`
-	*traffic.OverloadResult
-}
-
 func run() (int, error) {
 	specPath := flag.String("spec", "", "workload spec YAML (required)")
 	seed := cliutil.SeedFlag(0, "override the spec's campaign seed (0 = use spec)")
@@ -130,8 +119,7 @@ func run() (int, error) {
 	resilience := flag.Bool("resilience", false, "arm the overload-resilience layer (admission control, retries, breakers, degradation ladder)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "arm the chaos campaign with this seed (implies -resilience; 0 = off)")
 	retryMax := flag.Int("retry-max", 0, "max retries per request (0 = default, -1 disables)")
-	overload := flag.Bool("overload", false, "run the overload sweep (calibrate, then open-loop points at 1, 2 and 4x capacity)")
-	jsonPath := cliutil.JSONFlag("write the campaign (or -overload sweep) summary to this path")
+	jsonPath := cliutil.JSONFlag("write the campaign summary to this path")
 	progress := flag.Bool("progress", false, "print a progress line every 256 processed requests")
 	ckptPath := flag.String("checkpoint", "", "write a durable campaign snapshot to this path at the checkpoint cadence")
 	ckptEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in generated requests (0 = 1000)")
@@ -155,9 +143,6 @@ func run() (int, error) {
 	}
 
 	if *supervise {
-		if *overload {
-			return exitInternal, fmt.Errorf("-supervise does not apply to -overload sweeps")
-		}
 		if *ckptPath == "" {
 			return exitInternal, fmt.Errorf("-supervise requires -checkpoint (restarts resume from the last snapshot)")
 		}
@@ -173,7 +158,7 @@ func run() (int, error) {
 	}
 
 	var resCfg *traffic.ResilienceConfig
-	if *resilience || *chaosSeed != 0 || *overload {
+	if *resilience || *chaosSeed != 0 {
 		resCfg = &traffic.ResilienceConfig{RetryMax: *retryMax}
 	}
 
@@ -184,19 +169,6 @@ func run() (int, error) {
 	if observer != nil {
 		// One recorder: -trace exports the traces -flight retains.
 		observer.Flight = flight
-	}
-
-	if *overload {
-		return runOverload(spec, observer, srv, obsFlags, overloadOpts{
-			specPath:  *specPath,
-			seed:      *seed,
-			workers:   cliutil.ResolveWorkers(*workers),
-			res:       resCfg,
-			chaosSeed: *chaosSeed,
-			queue:     *queue,
-			jsonPath:  *jsonPath,
-			progress:  *progress,
-		})
 	}
 
 	if spec.MaxRequests == 0 && *maxRequests == 0 && *duration == 0 {
@@ -389,62 +361,4 @@ func printServe(specPath string, res *traffic.ServeResult) {
 	if res.ChaosDigest != "" {
 		fmt.Printf("  chaos digest %s (seed %d)\n", res.ChaosDigest, res.ChaosSeed)
 	}
-}
-
-type overloadOpts struct {
-	specPath  string
-	seed      uint64
-	workers   int
-	res       *traffic.ResilienceConfig
-	chaosSeed uint64
-	queue     int
-	jsonPath  string
-	progress  bool
-}
-
-// runOverload drives the calibrate-and-sweep campaign and writes its
-// record.
-func runOverload(spec *traffic.Spec, observer *obs.Observer, srv *obs.Server, obsFlags *cliutil.ObsFlags, o overloadOpts) (int, error) {
-	cfg := traffic.OverloadConfig{
-		Spec:       spec,
-		Seed:       o.seed,
-		Workers:    o.workers,
-		Resilience: o.res,
-		ChaosSeed:  o.chaosSeed,
-		QueueDepth: o.queue,
-		Obs:        observer,
-	}
-	if o.progress {
-		cfg.Progress = func(stage string) {
-			fmt.Fprintf(os.Stderr, "serve: overload %s\n", stage)
-		}
-	}
-	res, err := traffic.RunOverload(cfg)
-	if err != nil {
-		return exitInternal, err
-	}
-	if ferr := obsFlags.Finish(observer, srv, 0); ferr != nil && err == nil {
-		err = ferr
-	}
-
-	fmt.Printf("overload: %s workers=%d capacity=%.0f req/sec (%d requests/point)\n",
-		o.specPath, res.Workers, res.CapacityPerSec, res.Requests)
-	for _, p := range res.Points {
-		r := p.Result
-		fmt.Printf("  %4gx offered=%-6.0f goodput=%-6.0f completed=%-5d shed=%-5d (delay %d, bucket %d) retries=%-4d trips=%-3d degradations=%d recoveries=%d\n",
-			p.Multiple, p.OfferedPerSec, r.GoodputPerSec, r.Completed,
-			r.Shed+r.ShedBucket+r.ShedDelay, r.ShedDelay, r.ShedBucket,
-			r.Retries, r.BreakerTrips, r.Degradations, r.Recoveries)
-	}
-
-	if o.jsonPath != "" {
-		rec := overloadRecord{Bench: "overload", Spec: o.specPath, OverloadResult: res}
-		if werr := cliutil.WriteJSON(o.jsonPath, rec); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if err != nil {
-		return exitInternal, err
-	}
-	return exitOK, nil
 }

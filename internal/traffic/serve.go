@@ -591,6 +591,7 @@ producer:
 			if d := time.Until(target); d > 0 {
 				select {
 				case <-s.done:
+					s.abandonHeld(ci, tr)
 					break producer
 				case <-time.After(d):
 				}
@@ -645,12 +646,24 @@ func (s *server) admit(ch chan<- queued, req *Request, tr *obs.RequestTrace) boo
 		select {
 		case ch <- q:
 		case <-s.done:
+			s.abandonHeld(req.ClassIndex, tr)
 			return false
 		}
 	}
 	cc.admitted.Add(1)
 	s.admittedAll.Add(1)
 	return true
+}
+
+// abandonHeld accounts the request the producer was holding when the
+// campaign stopped — generated, but never handed to a consumer — as
+// admitted and abandoned, the state consume gives a drained backlog, so
+// the ServeResult invariants hold on every stop.
+func (s *server) abandonHeld(ci int, tr *obs.RequestTrace) {
+	cc := s.counters[ci]
+	cc.admitted.Add(1)
+	cc.abandoned.Add(1)
+	s.finishTrace(tr, obs.OutcomeAbandoned)
 }
 
 // consume is every consumer's per-request body. Once the campaign is
