@@ -86,9 +86,10 @@ bench-smoke:
 # decoded instruction; PooledCase: one Juliet case's NewMachine, Run and
 # Release; Generate: building Juliet programs; Fingerprint: a first
 # Program.Fingerprint; Apply: instrumenting one Juliet program per Table II
-# tool.
+# tool; PreinstrumentTableII: the six Table II engines' cache fill on the
+# full suite, with its allocation and the live heap it leaves (MiB).
 bench-layers:
-	$(GO) test -run '^$$' -bench 'Load8|Store8|Fill|HeapAllocFree|SpecLoop|PooledCase|Generate|Fingerprint|Apply' \
+	$(GO) test -run '^$$' -bench 'Load8|Store8|Fill|HeapAllocFree|SpecLoop|PooledCase|Generate|Fingerprint|Apply|PreinstrumentTableII' \
 		-benchmem -count 6 ./internal/mem ./internal/alloc ./internal/interp ./internal/engine \
 		./internal/juliet ./prog ./internal/instrument
 

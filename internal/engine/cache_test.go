@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -157,6 +158,33 @@ func TestCachePrefillAccounting(t *testing.T) {
 	}
 }
 
+// tableIITool is one Table II tool with the Juliet cases it runs.
+type tableIITool struct {
+	tool    sanitizers.Name
+	include func(*juliet.Case) bool
+}
+
+// tableII lists the six Table II tools in the table's order.
+var tableII = []tableIITool{
+	{sanitizers.CECSan, func(*juliet.Case) bool { return true }},
+	{sanitizers.PACMem, juliet.SubsetPACMem},
+	{sanitizers.CryptSan, juliet.SubsetCryptSan},
+	{sanitizers.HWASan, func(*juliet.Case) bool { return true }},
+	{sanitizers.ASan, func(*juliet.Case) bool { return true }},
+	{sanitizers.SoftBound, juliet.SubsetSoftBound},
+}
+
+// programs returns the bad and good programs of the suite's cases tt runs.
+func (tt tableIITool) programs(suite []*juliet.Case) []*prog.Program {
+	var progs []*prog.Program
+	for _, cs := range suite {
+		if tt.include(cs) {
+			progs = append(progs, cs.Bad, cs.Good)
+		}
+	}
+	return progs
+}
+
 // TestDefaultCacheHoldsTableII computes the (config, fingerprint) keys the
 // six Table II tools request on their full-scale subsets — without
 // instrumenting anything — and requires that no shard of a default cache
@@ -170,31 +198,18 @@ func TestDefaultCacheHoldsTableII(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache(0)
-	subsets := map[sanitizers.Name]func(*juliet.Case) bool{
-		sanitizers.CECSan:    func(*juliet.Case) bool { return true },
-		sanitizers.PACMem:    juliet.SubsetPACMem,
-		sanitizers.CryptSan:  juliet.SubsetCryptSan,
-		sanitizers.HWASan:    func(*juliet.Case) bool { return true },
-		sanitizers.ASan:      func(*juliet.Case) bool { return true },
-		sanitizers.SoftBound: juliet.SubsetSoftBound,
-	}
 	var perShard [cacheShardCount]map[cacheKey]bool
 	for i := range perShard {
 		perShard[i] = make(map[cacheKey]bool)
 	}
-	for tool, include := range subsets {
-		eng, err := New(tool, Options{Cache: c})
+	for _, tt := range tableII {
+		eng, err := New(tt.tool, Options{Cache: c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cs := range suite {
-			if !include(cs) {
-				continue
-			}
-			for _, p := range []*prog.Program{cs.Bad, cs.Good} {
-				fp := p.Fingerprint()
-				perShard[fp[0]&(cacheShardCount-1)][cacheKey{pid: eng.pid, fp: fp}] = true
-			}
+		for _, p := range tt.programs(suite) {
+			fp := p.Fingerprint()
+			perShard[fp[0]&(cacheShardCount-1)][cacheKey{pid: eng.pid, fp: fp}] = true
 		}
 	}
 	keys, fullest := 0, 0
@@ -206,4 +221,50 @@ func TestDefaultCacheHoldsTableII(t *testing.T) {
 	if fullest > c.capPerShard {
 		t.Fatalf("Table II needs %d entries in one shard; the default cache holds %d per shard", fullest, c.capPerShard)
 	}
+}
+
+// BenchmarkPreinstrumentTableII measures the instrumentation cache's share
+// of a Table II set-up: each iteration builds the six tools' engines on a
+// fresh cache and preinstruments their subsets of the full Juliet suite,
+// which is generated once beforehand. It reports what one iteration
+// allocates (alloc-MiB) and the heap live after a collection at its end,
+// the suite plus every cached program (live-MiB).
+func BenchmarkPreinstrumentTableII(b *testing.B) {
+	suite, err := juliet.Suite()
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs := make([][]*prog.Program, len(tableII))
+	for i, tt := range tableII {
+		progs[i] = tt.programs(suite)
+	}
+	var ms runtime.MemStats
+	var alloc, live uint64
+	b.ResetTimer()
+	for range b.N {
+		b.StopTimer()
+		runtime.GC() // drop the previous iteration's cache
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		b.StartTimer()
+		c := NewCache(0)
+		for i, tt := range tableII {
+			eng, err := New(tt.tool, Options{Workers: 1, Cache: c})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.Preinstrument(progs[i])
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		alloc += ms.TotalAlloc - before
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		live += ms.HeapAlloc
+		runtime.KeepAlive(c)
+		b.StartTimer()
+	}
+	const mib = 1 << 20
+	b.ReportMetric(float64(alloc)/float64(b.N)/mib, "alloc-MiB")
+	b.ReportMetric(float64(live)/float64(b.N)/mib, "live-MiB")
 }

@@ -35,8 +35,10 @@ func mapAllocs(n int) int {
 // keptObjects counts the heap objects out holds that src does not: the
 // Program and its Funcs map, the global table when global tracking copied
 // it, and for each function a pass changed, the Func, its code, loops and
-// allocas, and the argument list of each OpCheckPeriodic.
-func keptObjects(src, out *prog.Program) int {
+// allocas, and its argument pool when a pass added an OpCheckPeriodic's
+// argument list to it. A changed function must share its source's
+// reference table, which is never counted.
+func keptObjects(t *testing.T, src, out *prog.Program) int {
 	n := 1 + mapAllocs(len(out.Funcs))
 	if len(out.Globals) > 0 && &out.Globals[0] != &src.Globals[0] {
 		n++
@@ -51,13 +53,19 @@ func keptObjects(src, out *prog.Program) int {
 				n++
 			}
 		}
-		for _, in := range f.Code {
-			if in.Op == prog.OpCheckPeriodic {
-				n++
-			}
+		if !sameSlice(f.Refs, src.Funcs[name].Refs) {
+			t.Fatalf("%s does not share its source's reference table", name)
+		}
+		if !sameSlice(f.ArgPool, src.Funcs[name].ArgPool) {
+			n++
 		}
 	}
 	return n
+}
+
+// sameSlice reports whether a and b are the same slice of the same array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // TestApplyAllocatesOnlyWhatItKeeps pins Apply's allocation budget: after a
@@ -89,7 +97,7 @@ func TestApplyAllocatesOnlyWhatItKeeps(t *testing.T) {
 		for i, p := range progs {
 			var out *prog.Program
 			got := testing.AllocsPerRun(5, func() { out = instrument.Apply(p, prof) })
-			if want := keptObjects(p, out); int(got) != want {
+			if want := keptObjects(t, p, out); int(got) != want {
 				t.Fatalf("%s: program %d: Apply allocates %v objects, its output keeps %d", tool, i, got, want)
 			}
 		}

@@ -138,7 +138,7 @@ func (s *scratch) analyze(a *funcAnalysis, f *prog.Func, globals []prog.GlobalSp
 				set(in.Dst, objInfo{known: true, size: in.Size, heap: true})
 			}
 		case prog.OpGlobalAddr:
-			g := s.globalRoot(in.Sym)
+			g := s.globalRoot(f.Sym(in))
 			if g >= 0 {
 				set(in.Dst, objInfo{known: true, size: globals[g].Type.Size()})
 			}
@@ -154,8 +154,8 @@ func (s *scratch) analyze(a *funcAnalysis, f *prog.Func, globals []prog.GlobalSp
 			// of in.Size bytes (field) or one element (const array index).
 			if in.Has(prog.FlagStaticSafe) {
 				sz := in.Size
-				if sz == 0 && in.Type != nil {
-					sz = in.Type.Size()
+				if t := f.Type(in); sz == 0 && t != nil {
+					sz = t.Size()
 				}
 				// Provenance: the derived region is heap-rooted unless the
 				// base is provably an alloca or global.
@@ -207,7 +207,7 @@ func (s *scratch) classifyStackObjects(f *prog.Func, a *funcAnalysis) []bool {
 		in := &f.Code[i]
 		switch in.Op {
 		case prog.OpCall, prog.OpLibc, prog.OpCallExternal:
-			for _, arg := range in.Args {
+			for _, arg := range f.Args(in) {
 				unsafeRoot(arg)
 			}
 		case prog.OpParFor:
@@ -262,7 +262,7 @@ func (s *scratch) classifyGlobals(p *prog.Program, as []funcAnalysis) []bool {
 			in := &f.Code[i]
 			switch in.Op {
 			case prog.OpCall, prog.OpLibc, prog.OpCallExternal:
-				for _, arg := range in.Args {
+				for _, arg := range f.Args(in) {
 					mark(arg)
 				}
 			case prog.OpStore:

@@ -44,9 +44,9 @@ func Config(p rt.Profile) rt.Profile {
 // instrumented copy. The original is not modified. Only Config(profile)
 // shapes the output. The copy shares the original's function order, its
 // global table unless global tracking marks another global address-taken,
-// every function no pass changes, and the argument lists of the
-// instructions it keeps; each rewritten function's code is stored
-// exact-size.
+// every function no pass changes, and each rewritten function's reference
+// table, and its argument pool unless a pass adds an argument list; each
+// rewritten function's code is stored exact-size.
 func Apply(p *prog.Program, profile rt.Profile) *prog.Program {
 	return apply(p, Config(profile))
 }
@@ -114,6 +114,10 @@ type scratch struct {
 	fn      prog.Func
 	loops   []prog.Loop
 	allocas []int
+	// argPool is fn's argument pool once a pass has added a list to it;
+	// until then (ownArgs false) fn shares the source's.
+	argPool []prog.Reg
+	ownArgs bool
 
 	// bufs are the rewriter's double buffers; cur is the one fn.Code lives
 	// in, -1 while it is the source's, and next the one a rewrite fills.
@@ -171,9 +175,9 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// begin loads src as the function the passes work on. Its code stays the
-// source's until a pass changes it; its loops are copied, since a rewrite
-// remaps them in place.
+// begin loads src as the function the passes work on. Its code and side
+// tables stay the source's until a pass changes them; its loops are
+// copied, since a rewrite remaps them in place.
 func (s *scratch) begin(src *prog.Func) *prog.Func {
 	s.loops = append(s.loops[:0], src.Loops...)
 	s.fn = prog.Func{
@@ -183,17 +187,39 @@ func (s *scratch) begin(src *prog.Func) *prog.Func {
 		Code:      src.Code,
 		Loops:     s.loops,
 		Allocas:   src.Allocas,
+		Refs:      src.Refs,
+		ArgPool:   src.ArgPool,
 	}
 	s.cur = -1
+	s.ownArgs = false
 	return &s.fn
 }
 
+// appendArgs adds the argument list args to f's pool, moving the pool into
+// the scratch first so the source's is never written, and returns the
+// list's Instr.ArgsAt.
+func (s *scratch) appendArgs(f *prog.Func, args ...prog.Reg) uint32 {
+	if !s.ownArgs {
+		s.argPool = append(s.argPool[:0], f.ArgPool...)
+		s.ownArgs = true
+	}
+	var at uint32
+	s.argPool, at = prog.AppendArgs(s.argPool, args...)
+	f.ArgPool = s.argPool
+	return at
+}
+
 // result returns the output function for src: src itself when no pass
-// changed it, otherwise a copy of the working function whose code, loops
-// and allocas are stored exact-size.
+// changed it, otherwise a copy of the working function whose code, loops,
+// allocas and, when a pass extended it, argument pool are stored
+// exact-size. The reference table is always the source's.
 func (s *scratch) result(src, f *prog.Func) *prog.Func {
 	if s.cur < 0 {
 		return src
+	}
+	argPool := f.ArgPool
+	if s.ownArgs {
+		argPool = exactCopy(argPool)
 	}
 	return &prog.Func{
 		Name:      f.Name,
@@ -202,6 +228,8 @@ func (s *scratch) result(src, f *prog.Func) *prog.Func {
 		Code:      exactCopy(f.Code),
 		Loops:     exactCopy(f.Loops),
 		Allocas:   exactCopy(f.Allocas),
+		Refs:      f.Refs,
+		ArgPool:   argPool,
 	}
 }
 
@@ -313,7 +341,7 @@ func (s *scratch) instrumentFunc(f *prog.Func, a *funcAnalysis, profile rt.Profi
 					dynamic.add(in.A)
 				}
 			case prog.OpCall, prog.OpLibc, prog.OpCallExternal:
-				for _, arg := range in.Args {
+				for _, arg := range f.Args(in) {
 					dynamic.add(arg)
 				}
 			case prog.OpGEP:
@@ -329,7 +357,7 @@ func (s *scratch) instrumentFunc(f *prog.Func, a *funcAnalysis, profile rt.Profi
 			if in.Op != prog.OpGEP || !in.Has(prog.FlagSubObject) || in.Size <= 0 {
 				continue
 			}
-			if in.Type != nil && !in.Type.IsComposite() {
+			if t := f.Type(in); t != nil && !t.IsComposite() {
 				// Scalar members are covered by the object-granular check;
 				// §II.D narrowing targets member buffers (Figure 3).
 				continue

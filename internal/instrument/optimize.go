@@ -283,15 +283,15 @@ func (s *scratch) groupMonotonicChecks(f *prog.Func, checkStep int64) {
 		}
 		l := s.reps[ri-1]
 		pc := prog.Instr{
-			Op:   prog.OpCheckPeriodic,
-			X:    uint8(l.Step),
-			Dst:  prog.NoReg,
-			A:    prog.NoReg,
-			B:    prog.NoReg,
-			Imm:  l.Start.Const,
-			Off:  l.Step * checkStep,
-			Size: in.Size,
-			Args: []prog.Reg{in.A, l.IndVar, l.Limit.Reg},
+			Op:     prog.OpCheckPeriodic,
+			X:      uint8(l.Step),
+			Dst:    prog.NoReg,
+			A:      prog.NoReg,
+			B:      prog.NoReg,
+			Imm:    l.Start.Const,
+			Off:    l.Step * checkStep,
+			Size:   in.Size,
+			ArgsAt: s.appendArgs(f, in.A, l.IndVar, l.Limit.Reg),
 		}
 		if in.Has(prog.FlagWrite) {
 			pc.Flags |= prog.FlagWrite

@@ -152,9 +152,16 @@ type op struct {
 type fcode struct {
 	ops     []op // one op per source instruction, then the opEnd sentinel
 	src     []prog.Instr
+	fn      *prog.Func // the source, for its side tables
 	name    string
 	numRegs int
 }
+
+// sym returns the symbol of the source instruction at pc.
+func (f *fcode) sym(pc int) string { return f.fn.Sym(&f.src[pc]) }
+
+// args returns the argument registers of the source instruction at pc.
+func (f *fcode) args(pc int) []prog.Reg { return f.fn.Args(&f.src[pc]) }
 
 // periodicMagic returns the multiplier for the divisibility filter in
 // periodicSkip, ^uint64(0)/mod+1 = ceil(2^64/mod), or 0 when the filter
@@ -195,8 +202,8 @@ func (m *Machine) decode(res *Resources) {
 	for i := range funcs {
 		f := funcs[i].Func
 		n := len(f.Code) + 1
-		res.code[i] = fcode{ops: ops[:n:n], src: f.Code, name: f.Name, numRegs: f.NumRegs}
-		m.decodeFunc(ops[:n], f.Code, funcs[i].Targets)
+		res.code[i] = fcode{ops: ops[:n:n], src: f.Code, fn: f, name: f.Name, numRegs: f.NumRegs}
+		m.decodeFunc(ops[:n], f, funcs[i].Targets)
 		if !m.opts.DisableFusion {
 			fuse(ops[:n])
 		}
@@ -205,9 +212,10 @@ func (m *Machine) decode(res *Resources) {
 	m.code = res.code
 }
 
-// decodeFunc decodes one function's instructions into ops[:len(code)] and
-// the sentinel into ops[len(code)]. targets is the function's link table.
-func (m *Machine) decodeFunc(ops []op, code []prog.Instr, targets []int32) {
+// decodeFunc decodes f's instructions into ops[:len(f.Code)] and the
+// sentinel into ops[len(f.Code)]. targets is the function's link table.
+func (m *Machine) decodeFunc(ops []op, f *prog.Func, targets []int32) {
+	code := f.Code
 	n := len(code)
 	meta := m.trackMeta
 	for pc := range code {
@@ -280,8 +288,8 @@ func (m *Machine) decodeFunc(ops []op, code []prog.Instr, targets []int32) {
 			}
 		case prog.OpCheckPeriodic:
 			o.code, o.a, o.b, o.x = opPeriodic, prog.NoReg, prog.NoReg, in.Imm
-			if len(in.Args) >= 2 {
-				o.a, o.b = in.Args[0], in.Args[1]
+			if args := f.Args(in); len(args) >= 2 {
+				o.a, o.b = args[0], args[1]
 			}
 			o.y = int64(periodicMagic(in.Off))
 		case prog.OpSubPtr:

@@ -290,13 +290,13 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 			}
 		case opCall:
 			if o.x < 0 {
-				ab = &abort{err: fmt.Errorf("interp: undefined function %q", f.src[pc].Sym)}
+				ab = &abort{err: fmt.Errorf("interp: undefined function %q", f.sym(pc))}
 				goto fail
 			}
 			// Arguments go register-to-register into the callee's window.
 			mark := th.frameBase
 			cregs, cmetas := th.frame(m.code[o.x].numRegs)
-			args := f.src[pc].Args
+			args := f.args(pc)
 			args = args[:min(len(args), len(cregs))]
 			for i, a := range args {
 				cregs[i] = regs[a]
@@ -317,7 +317,7 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 				metas[o.dst] = rmeta
 			}
 		case opCallExternal:
-			ret, cab := th.callExternal(&f.src[pc], regs, metas, f.name, pc)
+			ret, cab := th.callExternal(&f.src[pc], f.sym(pc), f.args(pc), regs, metas, f.name, pc)
 			if cab != nil {
 				ab = cab
 				goto fail
@@ -325,7 +325,7 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 			regs[o.dst] = ret
 			th.local.ExternCalls++
 		case opLibc:
-			ret, cab := th.libcCall(&f.src[pc], regs, metas, f.name, pc)
+			ret, cab := th.libcCall(&f.src[pc], f.sym(pc), f.args(pc), regs, metas, f.name, pc)
 			if cab != nil {
 				ab = cab
 				goto fail
@@ -333,7 +333,7 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 			regs[o.dst] = ret
 			th.local.LibcCalls++
 		case opParFor:
-			if ab = th.parFor(&f.src[pc], int32(o.x), regs, depth); ab != nil {
+			if ab = th.parFor(&f.src[pc], f.sym(pc), int32(o.x), regs, depth); ab != nil {
 				goto fail
 			}
 		case opRet:
@@ -366,7 +366,7 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 			}
 		case opPeriodic:
 			if !periodicSkip(int64(regs[o.b])-o.x, uint64(o.y)) {
-				if ab = th.periodic(&f.src[pc], regs, metas, f.name, pc); ab != nil {
+				if ab = th.periodic(&f.src[pc], f.args(pc), regs, metas, f.name, pc); ab != nil {
 					goto fail
 				}
 			}
@@ -514,7 +514,7 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 			continue
 		case opPeriodicLoad:
 			if !periodicSkip(int64(regs[o.b])-o.x, uint64(o.y)) {
-				if ab = th.periodic(&f.src[pc], regs, metas, f.name, pc); ab != nil {
+				if ab = th.periodic(&f.src[pc], f.args(pc), regs, metas, f.name, pc); ab != nil {
 					goto fail
 				}
 			}
@@ -525,7 +525,7 @@ func (th *thread) call(fi int32, regs []uint64, metas []rt.PtrMeta, depth int) (
 			continue
 		case opPeriodicStore:
 			if !periodicSkip(int64(regs[o.b])-o.x, uint64(o.y)) {
-				if ab = th.periodic(&f.src[pc], regs, metas, f.name, pc); ab != nil {
+				if ab = th.periodic(&f.src[pc], f.args(pc), regs, metas, f.name, pc); ab != nil {
 					goto fail
 				}
 			}
@@ -673,18 +673,18 @@ func (th *thread) checkAt(ptr uint64, meta rt.PtrMeta, off, size int64, kind rt.
 	return nil
 }
 
-// periodic runs in, a grouped monotonic check (§II.F.1, Figure 4a), when it
+// periodic runs in, a grouped monotonic check with arguments args (§II.F.1, Figure 4a), when it
 // is due: it fires every check_step-th iteration, widened to cover the
 // elements until the next firing, clamped at the loop limit. The decoded
 // op calls it only where periodicSkip cannot rule the firing out.
-func (th *thread) periodic(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) *abort {
-	iv := int64(regs[in.Args[1]])
+func (th *thread) periodic(in *prog.Instr, args []prog.Reg, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) *abort {
+	iv := int64(regs[args[1]])
 	modulus := in.Off
 	if (iv-in.Imm)%modulus != 0 {
 		return nil
 	}
 	step := int64(in.X)
-	limit := int64(regs[in.Args[2]])
+	limit := int64(regs[args[2]])
 	elems := (limit - iv + step - 1) / step
 	if ceiling := modulus / step; elems > ceiling {
 		elems = ceiling
@@ -698,9 +698,9 @@ func (th *thread) periodic(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 	}
 	var meta rt.PtrMeta
 	if metas != nil {
-		meta = metas[in.Args[0]]
+		meta = metas[args[0]]
 	}
-	return th.checkAt(regs[in.Args[0]], meta, 0, elems*in.Size, kind, fnName, pc)
+	return th.checkAt(regs[args[0]], meta, 0, elems*in.Size, kind, fnName, pc)
 }
 
 // takeTids reserves the n lowest free thread ids. Ids past the stack region
@@ -748,10 +748,10 @@ func (th *thread) report(v *rt.Violation, fnName string, pc int) *abort {
 	return &abort{violation: v}
 }
 
-// parFor runs in.Sym (function index fi, -1 when unresolved) over [lo,hi)
+// parFor runs sym (function index fi, -1 when unresolved) over [lo,hi)
 // partitioned across in.Imm OS-level workers — the OpenMP analogue used by
 // the SPEC CPU2017 workloads.
-func (th *thread) parFor(in *prog.Instr, fi int32, regs []uint64, depth int) *abort {
+func (th *thread) parFor(in *prog.Instr, sym string, fi int32, regs []uint64, depth int) *abort {
 	m := th.m
 	lo := int64(regs[in.A])
 	hi := int64(regs[in.B])
@@ -760,7 +760,7 @@ func (th *thread) parFor(in *prog.Instr, fi int32, regs []uint64, depth int) *ab
 		return nil
 	}
 	if fi < 0 {
-		return &abort{err: fmt.Errorf("interp: undefined parfor body %q", in.Sym)}
+		return &abort{err: fmt.Errorf("interp: undefined parfor body %q", sym)}
 	}
 	numRegs := m.code[fi].numRegs
 	if workers < 1 {

@@ -15,15 +15,15 @@ import (
 // Individual runtimes reproduce their documented coverage gaps (e.g. the
 // wide-character functions most sanitizers overlook, §IV.B) inside
 // LibcCheck.
-func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) (uint64, *abort) {
+func (th *thread) libcCall(in *prog.Instr, sym string, args []prog.Reg, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) (uint64, *abort) {
 	m := th.m
 	mask := m.addrMask
-	argv := func(i int) uint64 { return regs[in.Args[i]] }
+	argv := func(i int) uint64 { return regs[args[i]] }
 	argm := func(i int) rt.PtrMeta {
 		if metas == nil {
 			return rt.PtrMeta{}
 		}
-		return metas[in.Args[i]]
+		return metas[args[i]]
 	}
 	check := func(fn string, i int, n int64, k rt.AccessKind) *abort {
 		th.local.ChecksExecuted++
@@ -41,24 +41,24 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		return nil
 	}
 	need := func(n int) *abort {
-		if len(in.Args) < n {
-			return &abort{err: fmt.Errorf("interp: libc %s: want %d args, got %d", in.Sym, n, len(in.Args))}
+		if len(args) < n {
+			return &abort{err: fmt.Errorf("interp: libc %s: want %d args, got %d", sym, n, len(args))}
 		}
 		return nil
 	}
 	// strlenRaw measures a NUL-terminated byte string in raw memory.
 	strlenRaw := func(raw uint64) int64 { return m.space.ScanZero(raw, 1) }
 
-	switch in.Sym {
+	switch sym {
 	case "memcpy", "memmove":
 		if ab := need(3); ab != nil {
 			return 0, ab
 		}
 		n := int64(argv(2))
-		if ab := check(in.Sym, 0, n, rt.Write); ab != nil {
+		if ab := check(sym, 0, n, rt.Write); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 1, n, rt.Read); ab != nil {
+		if ab := check(sym, 1, n, rt.Read); ab != nil {
 			return 0, ab
 		}
 		if f := m.space.Copy(argv(0)&mask, argv(1)&mask, n); f != nil {
@@ -71,7 +71,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := int64(argv(2))
-		if ab := check(in.Sym, 0, n, rt.Write); ab != nil {
+		if ab := check(sym, 0, n, rt.Write); ab != nil {
 			return 0, ab
 		}
 		if f := m.space.Set(argv(0)&mask, byte(argv(1)), n); f != nil {
@@ -84,7 +84,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := strlenRaw(argv(0) & mask)
-		if ab := check(in.Sym, 0, n+1, rt.Read); ab != nil {
+		if ab := check(sym, 0, n+1, rt.Read); ab != nil {
 			return 0, ab
 		}
 		return uint64(n), nil
@@ -94,10 +94,10 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := strlenRaw(argv(1) & mask)
-		if ab := check(in.Sym, 1, n+1, rt.Read); ab != nil {
+		if ab := check(sym, 1, n+1, rt.Read); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 0, n+1, rt.Write); ab != nil {
+		if ab := check(sym, 0, n+1, rt.Write); ab != nil {
 			return 0, ab
 		}
 		if f := m.space.Copy(argv(0)&mask, argv(1)&mask, n+1); f != nil {
@@ -115,10 +115,10 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		if cp > n {
 			cp = n
 		}
-		if ab := check(in.Sym, 1, cp, rt.Read); ab != nil {
+		if ab := check(sym, 1, cp, rt.Read); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 0, n, rt.Write); ab != nil { // strncpy pads to n
+		if ab := check(sym, 0, n, rt.Write); ab != nil { // strncpy pads to n
 			return 0, ab
 		}
 		if f := m.space.Copy(argv(0)&mask, argv(1)&mask, cp); f != nil {
@@ -137,10 +137,10 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		}
 		dl := strlenRaw(argv(0) & mask)
 		sl := strlenRaw(argv(1) & mask)
-		if ab := check(in.Sym, 1, sl+1, rt.Read); ab != nil {
+		if ab := check(sym, 1, sl+1, rt.Read); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 0, dl+sl+1, rt.Write); ab != nil {
+		if ab := check(sym, 0, dl+sl+1, rt.Write); ab != nil {
 			return 0, ab
 		}
 		if f := m.space.Copy((argv(0)&mask)+uint64(dl), argv(1)&mask, sl+1); f != nil {
@@ -153,7 +153,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := m.space.ScanZero(argv(0)&mask, 4)
-		if ab := check(in.Sym, 0, 4*(n+1), rt.Read); ab != nil {
+		if ab := check(sym, 0, 4*(n+1), rt.Read); ab != nil {
 			return 0, ab
 		}
 		return uint64(n), nil
@@ -163,10 +163,10 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := int64(argv(2)) * 4 // wide chars -> bytes
-		if ab := check(in.Sym, 0, n, rt.Write); ab != nil {
+		if ab := check(sym, 0, n, rt.Write); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 1, n, rt.Read); ab != nil {
+		if ab := check(sym, 1, n, rt.Read); ab != nil {
 			return 0, ab
 		}
 		if f := m.space.Copy(argv(0)&mask, argv(1)&mask, n); f != nil {
@@ -179,7 +179,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := int64(argv(2))
-		if ab := check(in.Sym, 0, 4*n, rt.Write); ab != nil {
+		if ab := check(sym, 0, 4*n, rt.Write); ab != nil {
 			return 0, ab
 		}
 		raw := argv(0) & mask
@@ -203,7 +203,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, nil
 		}
 		n := int64(len(payload))
-		if in.Sym == "fgets" {
+		if sym == "fgets" {
 			if n > limit-1 {
 				n = limit - 1
 			}
@@ -214,16 +214,16 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			n = 0
 		}
 		wr := n
-		if in.Sym == "fgets" {
+		if sym == "fgets" {
 			wr = n + 1 // terminating NUL
 		}
-		if ab := check(in.Sym, 0, wr, rt.Write); ab != nil {
+		if ab := check(sym, 0, wr, rt.Write); ab != nil {
 			return 0, ab
 		}
 		if f := m.space.WriteBytes(argv(0)&mask, payload[:n]); f != nil {
 			return 0, &abort{fault: f}
 		}
-		if in.Sym == "fgets" {
+		if sym == "fgets" {
 			if f := m.space.Store((argv(0)&mask)+uint64(n), 1, 0); f != nil {
 				return 0, &abort{fault: f}
 			}
@@ -314,10 +314,10 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := int64(argv(2))
-		if ab := check(in.Sym, 0, n, rt.Read); ab != nil {
+		if ab := check(sym, 0, n, rt.Read); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 1, n, rt.Read); ab != nil {
+		if ab := check(sym, 1, n, rt.Read); ab != nil {
 			return 0, ab
 		}
 		a, f := m.space.ReadBytes(argv(0)&mask, n)
@@ -343,7 +343,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		limit := int64(1 << 30)
-		if in.Sym == "strncmp" {
+		if sym == "strncmp" {
 			if ab := need(3); ab != nil {
 				return 0, ab
 			}
@@ -358,10 +358,10 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		if cb > limit {
 			cb = limit
 		}
-		if ab := check(in.Sym, 0, ca, rt.Read); ab != nil {
+		if ab := check(sym, 0, ca, rt.Read); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 1, cb, rt.Read); ab != nil {
+		if ab := check(sym, 1, cb, rt.Read); ab != nil {
 			return 0, ab
 		}
 		for i := int64(0); i < limit; i++ {
@@ -384,7 +384,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 			return 0, ab
 		}
 		n := int64(argv(2))
-		if ab := check(in.Sym, 0, n, rt.Read); ab != nil {
+		if ab := check(sym, 0, n, rt.Read); ab != nil {
 			return 0, ab
 		}
 		want := byte(argv(1))
@@ -412,7 +412,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		if n < limit {
 			probe = n + 1 // the terminator was read too
 		}
-		if ab := check(in.Sym, 0, probe, rt.Read); ab != nil {
+		if ab := check(sym, 0, probe, rt.Read); ab != nil {
 			return 0, ab
 		}
 		return uint64(n), nil
@@ -428,10 +428,10 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		if cp > n {
 			cp = n
 		}
-		if ab := check(in.Sym, 1, cp, rt.Read); ab != nil {
+		if ab := check(sym, 1, cp, rt.Read); ab != nil {
 			return 0, ab
 		}
-		if ab := check(in.Sym, 0, dl+cp+1, rt.Write); ab != nil {
+		if ab := check(sym, 0, dl+cp+1, rt.Write); ab != nil {
 			return 0, ab
 		}
 		if f := m.space.Copy((argv(0)&mask)+uint64(dl), argv(1)&mask, cp); f != nil {
@@ -458,7 +458,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		}
 		raw := argv(0) & mask
 		n := strlenRaw(raw)
-		if ab := check(in.Sym, 0, n+1, rt.Read); ab != nil {
+		if ab := check(sym, 0, n+1, rt.Read); ab != nil {
 			return 0, ab
 		}
 		b, f := m.space.ReadBytes(raw, n)
@@ -469,7 +469,7 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 		return 0, nil
 
 	default:
-		return 0, &abort{err: fmt.Errorf("interp: unknown libc function %q", in.Sym)}
+		return 0, &abort{err: fmt.Errorf("interp: unknown libc function %q", sym)}
 	}
 }
 
@@ -478,13 +478,13 @@ func (th *thread) libcCall(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fn
 // implementation operates on raw memory with no sanitizer involvement, and
 // returned pointers are adopted (reserved entry) or re-tagged (functions
 // returning one of their pointer arguments).
-func (th *thread) callExternal(in *prog.Instr, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) (uint64, *abort) {
+func (th *thread) callExternal(in *prog.Instr, sym string, args []prog.Reg, regs []uint64, metas []rt.PtrMeta, fnName string, pc int) (uint64, *abort) {
 	m := th.m
 	mask := m.addrMask
 	run := m.san.Runtime
 
-	raw := make([]uint64, len(in.Args))
-	for i, a := range in.Args {
+	raw := make([]uint64, len(args))
+	for i, a := range args {
 		// The §II.E wrapper: check and strip every pointer-looking argument.
 		// The machine treats every argument of an external call as a
 		// potential pointer, as a conservative LTO pass would.
@@ -497,7 +497,7 @@ func (th *thread) callExternal(in *prog.Instr, regs []uint64, metas []rt.PtrMeta
 	_ = metas // external code receives no metadata: it is uninstrumented
 
 	var ret uint64
-	switch in.Sym {
+	switch sym {
 	case "ext_identity":
 		// Returns its first argument unchanged (canonical returns-own-arg).
 		if len(raw) > 0 {
@@ -567,12 +567,12 @@ func (th *thread) callExternal(in *prog.Instr, regs []uint64, metas []rt.PtrMeta
 		ret = p
 
 	default:
-		return 0, &abort{err: fmt.Errorf("interp: unknown external function %q", in.Sym)}
+		return 0, &abort{err: fmt.Errorf("interp: unknown external function %q", sym)}
 	}
 
-	if in.Has(prog.FlagRetIsArg0) && len(in.Args) > 0 {
+	if in.Has(prog.FlagRetIsArg0) && len(args) > 0 {
 		// Re-apply the stripped tag of arg0 to the returned pointer (§II.E).
-		return (ret & mask) | (regs[in.Args[0]] &^ mask), nil
+		return (ret & mask) | (regs[args[0]] &^ mask), nil
 	}
 	if in.Has(prog.FlagRetPtr) {
 		return run.AdoptExternRet(ret), nil

@@ -46,8 +46,9 @@ func allocSample() *ProgramBuilder {
 
 // TestBuildAllocatesOnlyWhatItKeeps pins Build's allocation budget: it
 // allocates the Funcs map, the function order, and one exact-size copy of
-// each function's code, loops and allocas and of the global table — only
-// objects the program keeps. The builders' growable space is recycled.
+// each function's code, loops, allocas, reference table and argument pool
+// and of the global table — only objects the program keeps. The builders'
+// growable space is recycled.
 func TestBuildAllocatesOnlyWhatItKeeps(t *testing.T) {
 	// A collection empties the scratch pools; their regrowth is not Build's.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -73,7 +74,7 @@ func TestBuildAllocatesOnlyWhatItKeeps(t *testing.T) {
 		want++
 	}
 	for _, f := range p.Funcs {
-		for _, n := range []int{len(f.Code), len(f.Loops), len(f.Allocas)} {
+		for _, n := range []int{len(f.Code), len(f.Loops), len(f.Allocas), len(f.Refs), len(f.ArgPool)} {
 			if n > 0 {
 				want++
 			}

@@ -68,18 +68,21 @@ func (pb *ProgramBuilder) Function(name string, numParams int) *FuncBuilder {
 	s := funcScratches.Get().(*funcScratch)
 	fb := &FuncBuilder{
 		pb: pb,
-		fn: &Func{Name: name, NumParams: numParams, NumRegs: numParams, Code: s.code, Loops: s.loops, Allocas: s.allocas},
-		s:  s,
+		fn: &Func{
+			Name: name, NumParams: numParams, NumRegs: numParams,
+			Code: s.code, Loops: s.loops, Allocas: s.allocas, Refs: s.refs, ArgPool: s.argPool,
+		},
+		s: s,
 	}
 	pb.fbs = append(pb.fbs, fb)
 	return fb
 }
 
 // Build finalizes all functions, validates the program, and returns it.
-// Each function's code, loops and allocas and the global table are copied
-// out of the builders' growable space exact-size, once. A builder builds
-// one program: it declares no globals after Build, and a second Build
-// fails.
+// Each function's code, loops, allocas and side tables and the global
+// table are copied out of the builders' growable space exact-size, once.
+// A builder builds one program: it declares no globals after Build, and a
+// second Build fails.
 func (pb *ProgramBuilder) Build() (*Program, error) {
 	g := pb.globals
 	if g == nil {
@@ -134,12 +137,14 @@ type FuncBuilder struct {
 
 // funcScratch is the reusable space a FuncBuilder emits into. Builds of
 // many small programs (the Juliet suite) would otherwise grow every
-// function's code, loops and allocas by doubling and then copy them
-// exact-size.
+// function's code, loops, allocas and side tables by doubling and then
+// copy them exact-size.
 type funcScratch struct {
 	code    []Instr
 	loops   []Loop
 	allocas []int
+	refs    []Ref
+	argPool []Reg
 	// consts[r] is register r's known, never-clobbered constant.
 	consts []constSlot
 }
@@ -157,9 +162,12 @@ var funcScratches = sync.Pool{New: func() any { return new(funcScratch) }}
 // the scratch to its pool.
 func (f *FuncBuilder) finish() {
 	s, fn := f.s, f.fn
-	s.code, s.loops, s.allocas = fn.Code, fn.Loops, fn.Allocas
+	s.code, s.loops, s.allocas, s.refs, s.argPool = fn.Code, fn.Loops, fn.Allocas, fn.Refs, fn.ArgPool
 	fn.Code, fn.Loops, fn.Allocas = exactCopy(s.code), exactCopy(s.loops), exactCopy(s.allocas)
+	fn.Refs, fn.ArgPool = exactCopy(s.refs), exactCopy(s.argPool)
 	s.code, s.loops, s.allocas = s.code[:0], s.loops[:0], s.allocas[:0]
+	clear(s.refs) // drop the names and types the pool would keep alive
+	s.refs, s.argPool = s.refs[:0], s.argPool[:0]
 	clear(s.consts)
 	s.consts = s.consts[:0]
 	f.s = nil
@@ -195,6 +203,27 @@ func (f *FuncBuilder) emit(in Instr) int {
 }
 
 func (f *FuncBuilder) pc() int { return len(f.fn.Code) }
+
+// ref returns the Instr.Ref naming sym and t, adding them to the
+// function's reference table unless an equal entry is already there.
+func (f *FuncBuilder) ref(sym string, t *Type) uint32 {
+	r := Ref{Sym: sym, Type: t}
+	for i, e := range f.fn.Refs {
+		if e == r {
+			return uint32(i) + 1
+		}
+	}
+	f.fn.Refs = append(f.fn.Refs, r)
+	return uint32(len(f.fn.Refs))
+}
+
+// args returns the Instr.ArgsAt naming a copy of args in the function's
+// argument pool.
+func (f *FuncBuilder) args(args []Reg) uint32 {
+	var at uint32
+	f.fn.ArgPool, at = AppendArgs(f.fn.ArgPool, args...)
+	return at
+}
 
 // needsTrailingRet reports whether Build must append an implicit RetVoid:
 // either the function does not end in a return, or some structured-control
@@ -303,7 +332,7 @@ func (f *FuncBuilder) Cmp(pred CmpPred, a, b Reg) Reg {
 // whether the object is tracked.
 func (f *FuncBuilder) Alloca(t *Type) Reg {
 	dst := f.NewReg()
-	idx := f.emit(Instr{Op: OpAlloca, Dst: dst, Size: t.Size(), Type: t, A: NoReg, B: NoReg})
+	idx := f.emit(Instr{Op: OpAlloca, Dst: dst, Size: t.Size(), Ref: f.ref("", t), A: NoReg, B: NoReg})
 	f.fn.Allocas = append(f.fn.Allocas, idx)
 	return dst
 }
@@ -311,7 +340,7 @@ func (f *FuncBuilder) Alloca(t *Type) Reg {
 // MallocType emits a heap allocation sized for type t.
 func (f *FuncBuilder) MallocType(t *Type) Reg {
 	dst := f.NewReg()
-	f.emit(Instr{Op: OpMalloc, Dst: dst, Size: t.Size(), Type: t, A: NoReg, B: NoReg})
+	f.emit(Instr{Op: OpMalloc, Dst: dst, Size: t.Size(), Ref: f.ref("", t), A: NoReg, B: NoReg})
 	return dst
 }
 
@@ -339,7 +368,7 @@ func (f *FuncBuilder) Free(ptr Reg) {
 // Load emits dst = *(ptr + off) of type t (scalar or pointer).
 func (f *FuncBuilder) Load(ptr Reg, off int64, t *Type) Reg {
 	dst := f.NewReg()
-	in := Instr{Op: OpLoad, Dst: dst, A: ptr, Off: off, Size: t.Size(), Type: t, B: NoReg}
+	in := Instr{Op: OpLoad, Dst: dst, A: ptr, Off: off, Size: t.Size(), Ref: f.ref("", t), B: NoReg}
 	if t.Kind() == KindPtr {
 		in.Flags |= FlagPtrVal
 	}
@@ -349,7 +378,7 @@ func (f *FuncBuilder) Load(ptr Reg, off int64, t *Type) Reg {
 
 // Store emits *(ptr + off) = val of type t.
 func (f *FuncBuilder) Store(ptr Reg, off int64, val Reg, t *Type) {
-	in := Instr{Op: OpStore, A: ptr, B: val, Off: off, Size: t.Size(), Type: t, Dst: NoReg}
+	in := Instr{Op: OpStore, A: ptr, B: val, Off: off, Size: t.Size(), Ref: f.ref("", t), Dst: NoReg}
 	if t.Kind() == KindPtr {
 		in.Flags |= FlagPtrVal
 	}
@@ -368,8 +397,8 @@ func (f *FuncBuilder) FieldPtr(base Reg, st *Type, field string) Reg {
 	dst := f.NewReg()
 	f.emit(Instr{
 		Op: OpGEP, Dst: dst, A: base, B: NoReg,
-		Off: fl.Offset, Size: fl.Type.Size(), Type: fl.Type,
-		Flags: FlagSubObject | FlagStaticSafe, Sym: field,
+		Off: fl.Offset, Size: fl.Type.Size(), Ref: f.ref(field, fl.Type),
+		Flags: FlagSubObject | FlagStaticSafe,
 	})
 	return dst
 }
@@ -383,7 +412,7 @@ func (f *FuncBuilder) IndexPtr(base Reg, arr *Type, idx Reg) Reg {
 		return NoReg
 	}
 	dst := f.NewReg()
-	in := Instr{Op: OpGEP, Dst: dst, A: base, B: idx, Imm: arr.Elem().Size(), Type: arr.Elem()}
+	in := Instr{Op: OpGEP, Dst: dst, A: base, B: idx, Imm: arr.Elem().Size(), Ref: f.ref("", arr.Elem())}
 	if v, ok := f.ConstValue(idx); ok && v >= 0 && v < arr.Len() {
 		in.Flags |= FlagStaticSafe
 	}
@@ -395,7 +424,7 @@ func (f *FuncBuilder) IndexPtr(base Reg, arr *Type, idx Reg) Reg {
 // known (pointer-to-elem arithmetic; bounds not statically known).
 func (f *FuncBuilder) ElemPtr(base Reg, elem *Type, idx Reg) Reg {
 	dst := f.NewReg()
-	f.emit(Instr{Op: OpGEP, Dst: dst, A: base, B: idx, Imm: elem.Size(), Type: elem})
+	f.emit(Instr{Op: OpGEP, Dst: dst, A: base, B: idx, Imm: elem.Size(), Ref: f.ref("", elem)})
 	return dst
 }
 
@@ -418,7 +447,7 @@ func (f *FuncBuilder) OffsetPtrReg(base Reg, off Reg) Reg {
 // GlobalAddr emits dst = &global.
 func (f *FuncBuilder) GlobalAddr(name string) Reg {
 	dst := f.NewReg()
-	f.emit(Instr{Op: OpGlobalAddr, Dst: dst, Sym: name, A: NoReg, B: NoReg})
+	f.emit(Instr{Op: OpGlobalAddr, Dst: dst, Ref: f.ref(name, nil), A: NoReg, B: NoReg})
 	return dst
 }
 
@@ -426,7 +455,7 @@ func (f *FuncBuilder) GlobalAddr(name string) Reg {
 // program.
 func (f *FuncBuilder) Call(fn string, args ...Reg) Reg {
 	dst := f.NewReg()
-	f.emit(Instr{Op: OpCall, Dst: dst, Sym: fn, Args: args, A: NoReg, B: NoReg})
+	f.emit(Instr{Op: OpCall, Dst: dst, Ref: f.ref(fn, nil), ArgsAt: f.args(args), A: NoReg, B: NoReg})
 	return dst
 }
 
@@ -435,7 +464,7 @@ func (f *FuncBuilder) Call(fn string, args ...Reg) Reg {
 // and instrumentation will re-apply the stripped tag to the return value.
 func (f *FuncBuilder) CallExternal(fn string, retIsArg0 bool, args ...Reg) Reg {
 	dst := f.NewReg()
-	in := Instr{Op: OpCallExternal, Dst: dst, Sym: fn, Args: args, A: NoReg, B: NoReg, Flags: FlagRetPtr}
+	in := Instr{Op: OpCallExternal, Dst: dst, Ref: f.ref(fn, nil), ArgsAt: f.args(args), A: NoReg, B: NoReg, Flags: FlagRetPtr}
 	if retIsArg0 {
 		in.Flags |= FlagRetIsArg0
 	}
@@ -447,7 +476,7 @@ func (f *FuncBuilder) CallExternal(fn string, retIsArg0 bool, args ...Reg) Reg {
 // functions (memcpy, memset, strcpy, wcsncpy, fgets, recv, rand, ...).
 func (f *FuncBuilder) Libc(fn string, args ...Reg) Reg {
 	dst := f.NewReg()
-	f.emit(Instr{Op: OpLibc, Dst: dst, Sym: fn, Args: args, A: NoReg, B: NoReg})
+	f.emit(Instr{Op: OpLibc, Dst: dst, Ref: f.ref(fn, nil), ArgsAt: f.args(args), A: NoReg, B: NoReg})
 	return dst
 }
 
@@ -455,7 +484,7 @@ func (f *FuncBuilder) Libc(fn string, args ...Reg) Reg {
 // [lo, hi), partitioned over the given number of threads — the repository's
 // OpenMP analogue.
 func (f *FuncBuilder) ParFor(fn string, lo, hi Reg, threads int) {
-	f.emit(Instr{Op: OpParFor, Sym: fn, A: lo, B: hi, Imm: int64(threads), Dst: NoReg})
+	f.emit(Instr{Op: OpParFor, Ref: f.ref(fn, nil), A: lo, B: hi, Imm: int64(threads), Dst: NoReg})
 }
 
 // Ret emits return val.

@@ -311,6 +311,29 @@ func TestValidateCatchesErrors(t *testing.T) {
 			},
 			want: "declared twice",
 		},
+		{
+			name: "ref out of range",
+			build: func() *ProgramBuilder {
+				pb := NewProgram()
+				f := pb.Function("main", 0)
+				f.emit(Instr{Op: OpAlloca, Dst: f.NewReg(), Size: 8, Ref: 1, A: NoReg, B: NoReg})
+				f.RetVoid()
+				return pb
+			},
+			want: "ref 1 out of range",
+		},
+		{
+			name: "argument list out of range",
+			build: func() *ProgramBuilder {
+				pb := NewProgram()
+				f := pb.Function("main", 0)
+				f.Libc("rand")
+				f.fn.Code[0].ArgsAt = 2
+				f.RetVoid()
+				return pb
+			},
+			want: "argument list at 2 out of range",
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

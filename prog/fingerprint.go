@@ -85,7 +85,9 @@ func (w *fpWriter) typ(t *Type) {
 	}
 }
 
-func (w *fpWriter) instr(in *Instr) {
+// instr encodes in, reading its type, symbol and arguments from f's side
+// tables. The field order is part of every pinned fingerprint.
+func (w *fpWriter) instr(f *Func, in *Instr) {
 	w.uint(uint64(in.Op))
 	w.uint(uint64(in.X))
 	w.int(int64(in.Dst))
@@ -94,10 +96,12 @@ func (w *fpWriter) instr(in *Instr) {
 	w.int(in.Imm)
 	w.int(in.Off)
 	w.int(in.Size)
-	w.typ(in.Type)
-	w.str(in.Sym)
-	w.uint(uint64(len(in.Args)))
-	for _, a := range in.Args {
+	r := f.ref(in)
+	w.typ(r.Type)
+	w.str(r.Sym)
+	args := f.Args(in)
+	w.uint(uint64(len(args)))
+	for _, a := range args {
 		w.int(int64(a))
 	}
 	w.uint(uint64(in.Flags))
@@ -141,7 +145,7 @@ func (p *Program) fingerprint() Fingerprint {
 		w.int(int64(f.NumRegs))
 		w.uint(uint64(len(f.Code)))
 		for i := range f.Code {
-			w.instr(&f.Code[i])
+			w.instr(f, &f.Code[i])
 		}
 		w.uint(uint64(len(f.Loops)))
 		for _, l := range f.Loops {

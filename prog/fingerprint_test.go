@@ -3,6 +3,7 @@ package prog
 import (
 	"bytes"
 	"hash/fnv"
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -74,12 +75,43 @@ func TestFingerprintTypeStructure(t *testing.T) {
 }
 
 // TestInstrSize pins the packed instruction layout: Flags shares the first
-// word with Op and X. Fingerprints write each field explicitly, so the
-// layout does not reach them.
+// word with Op, X and Dst, and the two side-table indices share one. Fingerprints
+// write each field explicitly, so the layout does not reach them.
 func TestInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got != 88 {
-		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 88", got)
+	if got := unsafe.Sizeof(Instr{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want 48", got)
 	}
+}
+
+// TestInstrHasNoPointers pins that an instruction holds nothing the
+// collector must scan: code slices are then pointer-free memory, and
+// symbols, types and argument lists stay in the functions' side tables.
+func TestInstrHasNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(Instr{})
+	for i := range typ.NumField() {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("Instr.%s is a %s, which holds a pointer the collector scans", f.Name, f.Type)
+		}
+	}
+}
+
+// pointerFree reports whether values of t hold no pointer: no pointer,
+// string, slice, map, interface, func or chan, at any depth.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+		reflect.Interface, reflect.Func, reflect.Chan:
+		return false
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestFNV128aMatchesStdlib pins the in-register FNV-1a against hash/fnv's

@@ -139,8 +139,11 @@ const (
 
 // Instr is one IR instruction. The operand meaning depends on Op; see the
 // opcode constants. Instr is a value type: programs are flat []Instr slices
-// for interpreter cache friendliness. Flags sits beside Op and X so the
-// three share one word and an Instr is 88 bytes, not 96.
+// for interpreter cache friendliness. It holds no pointers, so the
+// collector never scans code: an instruction's symbol, type and argument
+// list live in its function's side tables (Func.Refs and Func.ArgPool),
+// read through Func.Sym, Func.Type and Func.Args. Flags shares a word with
+// Op, X and Dst, and Ref with ArgsAt, so an Instr is 48 bytes.
 type Instr struct {
 	Op    Op
 	X     uint8 // BinOp, CmpPred, or check-kind discriminator
@@ -148,12 +151,23 @@ type Instr struct {
 	Dst   Reg
 	A     Reg
 	B     Reg
-	Imm   int64
-	Off   int64
-	Size  int64
-	Type  *Type
-	Sym   string
-	Args  []Reg
+	// Ref is 1 + the index of the instruction's symbol and type in
+	// Func.Refs, 0 for neither.
+	Ref uint32
+	// ArgsAt is 1 + the offset of the instruction's length-prefixed
+	// argument list in Func.ArgPool, 0 for none.
+	ArgsAt uint32
+	Imm    int64
+	Off    int64
+	Size   int64
+}
+
+// Ref is one entry of a function's reference table: the symbol (callee,
+// global, parfor body or field name) and type an instruction names. A
+// field GEP names both; every other instruction names at most one.
+type Ref struct {
+	Sym  string
+	Type *Type
 }
 
 // Has reports whether all bits of f are set.
@@ -210,6 +224,55 @@ type Func struct {
 	// Allocas lists the indices of OpAlloca instructions, for the stack
 	// object safety analysis.
 	Allocas []int
+
+	// Refs and ArgPool are the side tables Instr.Ref and Instr.ArgsAt
+	// index. ArgPool holds each argument list as its length followed by its
+	// registers. Tables are per function, not per program, so an
+	// instrumented program shares them with its source: a rewritten
+	// function keeps its source's Refs and copies ArgPool only when it adds
+	// an argument list.
+	Refs    []Ref
+	ArgPool []Reg
+}
+
+// ref returns in's reference table entry, zero when it has none.
+func (f *Func) ref(in *Instr) Ref {
+	if in.Ref == 0 {
+		return Ref{}
+	}
+	return f.Refs[in.Ref-1]
+}
+
+// Sym returns the symbol in names: the callee of a call or parfor, the
+// global of OpGlobalAddr, the member of a field GEP; "" for none.
+func (f *Func) Sym(in *Instr) string { return f.ref(in).Sym }
+
+// Type returns the type in carries (allocas, typed mallocs, loads, stores
+// and typed GEPs), nil for none.
+func (f *Func) Type(in *Instr) *Type { return f.ref(in).Type }
+
+// Args returns in's argument registers (calls, and OpCheckPeriodic's
+// [ptr, indvar, limit]), nil for none. The slice aliases ArgPool and must
+// not be modified.
+func (f *Func) Args(in *Instr) []Reg {
+	if in.ArgsAt == 0 {
+		return nil
+	}
+	at := int(in.ArgsAt)
+	end := at + int(f.ArgPool[at-1])
+	return f.ArgPool[at:end:end]
+}
+
+// AppendArgs appends the argument list args to pool and returns the grown
+// pool with the value an instruction's ArgsAt takes to name the list (0
+// for an empty one).
+func AppendArgs(pool []Reg, args ...Reg) ([]Reg, uint32) {
+	if len(args) == 0 {
+		return pool, 0
+	}
+	pool = append(pool, Reg(len(args)))
+	at := uint32(len(pool))
+	return append(pool, args...), at
 }
 
 // GlobalSpec declares a program global.

@@ -67,18 +67,19 @@ func (p *Program) resolve() *Link {
 		if !refersToSymbols(l.Funcs[i].Func) {
 			continue
 		}
-		code := l.Funcs[i].Func.Code
+		f := l.Funcs[i].Func
+		code := f.Code
 		t := all[:len(code):len(code)]
 		all = all[len(code):]
 		for pc := range code {
 			t[pc] = -1
 			switch code[pc].Op {
 			case OpCall, OpParFor:
-				if fi, ok := funcIdx[code[pc].Sym]; ok {
+				if fi, ok := funcIdx[f.Sym(&code[pc])]; ok {
 					t[pc] = fi
 				}
 			case OpGlobalAddr:
-				if slot, ok := globalIdx[code[pc].Sym]; ok {
+				if slot, ok := globalIdx[f.Sym(&code[pc])]; ok {
 					t[pc] = slot
 				}
 			}

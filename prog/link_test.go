@@ -42,7 +42,7 @@ func TestLinkResolves(t *testing.T) {
 			w = -1
 		}
 		if got := mainLink.Targets[pc]; got != w {
-			t.Errorf("main@%d (%v %q): target %d, want %d", pc, in.Op, in.Sym, got, w)
+			t.Errorf("main@%d (%v %q): target %d, want %d", pc, in.Op, mainLink.Func.Sym(&in), got, w)
 		}
 	}
 }

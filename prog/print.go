@@ -55,8 +55,9 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// String renders one instruction in a compact assembly-like syntax.
-func (i Instr) String() string {
+// format renders one of f's instructions in a compact assembly-like
+// syntax.
+func (f *Func) format(i *Instr) string {
 	var b strings.Builder
 	if i.Dst != NoReg {
 		fmt.Fprintf(&b, "r%d = ", i.Dst)
@@ -75,7 +76,7 @@ func (i Instr) String() string {
 	case OpCondBr:
 		fmt.Fprintf(&b, "if r%d goto @%d", i.A, i.Imm)
 	case OpAlloca:
-		fmt.Fprintf(&b, "alloca %s (%d bytes)", i.Type, i.Size)
+		fmt.Fprintf(&b, "alloca %s (%d bytes)", f.Type(i), i.Size)
 	case OpMalloc:
 		if i.A != NoReg {
 			fmt.Fprintf(&b, "malloc r%d", i.A)
@@ -94,14 +95,14 @@ func (i Instr) String() string {
 		} else {
 			fmt.Fprintf(&b, "gep r%d + %d", i.A, i.Off)
 		}
-		if i.Sym != "" {
-			fmt.Fprintf(&b, " ; .%s", i.Sym)
+		if sym := f.Sym(i); sym != "" {
+			fmt.Fprintf(&b, " ; .%s", sym)
 		}
 	case OpGlobalAddr:
-		fmt.Fprintf(&b, "globaladdr %s", i.Sym)
+		fmt.Fprintf(&b, "globaladdr %s", f.Sym(i))
 	case OpCall, OpCallExternal, OpLibc:
-		fmt.Fprintf(&b, "%s %s(", i.Op, i.Sym)
-		for n, a := range i.Args {
+		fmt.Fprintf(&b, "%s %s(", i.Op, f.Sym(i))
+		for n, a := range f.Args(i) {
 			if n > 0 {
 				b.WriteString(", ")
 			}
@@ -109,7 +110,7 @@ func (i Instr) String() string {
 		}
 		b.WriteString(")")
 	case OpParFor:
-		fmt.Fprintf(&b, "parfor %s [r%d, r%d) x%d", i.Sym, i.A, i.B, i.Imm)
+		fmt.Fprintf(&b, "parfor %s [r%d, r%d) x%d", f.Sym(i), i.A, i.B, i.Imm)
 	case OpRet:
 		if i.A != NoReg {
 			fmt.Fprintf(&b, "ret r%d", i.A)
@@ -131,8 +132,9 @@ func (i Instr) String() string {
 		if i.Has(FlagWrite) {
 			kind = "w"
 		}
+		args := f.Args(i)
 		fmt.Fprintf(&b, "checkperiodic.%s ptr=r%d iv=r%d lim=r%d start=%d mod=%d step=%d elem=%d",
-			kind, i.Args[0], i.Args[1], i.Args[2], i.Imm, i.Off, i.X, i.Size)
+			kind, args[0], args[1], args[2], i.Imm, i.Off, i.X, i.Size)
 	case OpSubPtr:
 		fmt.Fprintf(&b, "subptr r%d [%d, +%d)", i.A, i.Off, i.Size)
 	case OpSubRelease:
@@ -166,8 +168,8 @@ func (i Instr) String() string {
 func (f *Func) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "func %s(%d params, %d regs):\n", f.Name, f.NumParams, f.NumRegs)
-	for pc, in := range f.Code {
-		fmt.Fprintf(&b, "  @%-4d %s\n", pc, in.String())
+	for pc := range f.Code {
+		fmt.Fprintf(&b, "  @%-4d %s\n", pc, f.format(&f.Code[pc]))
 	}
 	for li, l := range f.Loops {
 		fmt.Fprintf(&b, "  ; loop %d: head[%d,%d) body[%d,%d) latch..%d iv=r%d start=%s limit=%s step=%d\n",

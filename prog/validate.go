@@ -9,8 +9,8 @@ import (
 
 // Validate checks a freshly built (uninstrumented) program for structural
 // errors: dangling branch targets, undefined call targets and globals,
-// malformed access sizes, arity mismatches, and hand-authored
-// instrumentation opcodes. It returns all problems joined into one error.
+// malformed access sizes, arity mismatches, side-table references out of
+// range, and hand-authored instrumentation opcodes. It returns all problems joined into one error.
 func Validate(p *Program) error {
 	var errs []error
 	addf := func(format string, args ...any) {
@@ -80,6 +80,15 @@ func validateFunc(p *Program, f *Func, globals map[string]bool, addf func(string
 
 	for pc := range f.Code {
 		in := &f.Code[pc]
+		if in.Ref > uint32(len(f.Refs)) {
+			addf("prog: %s@%d: ref %d out of range [0,%d]", f.Name, pc, in.Ref, len(f.Refs))
+			continue
+		}
+		if at := int(in.ArgsAt); at != 0 && (at > len(f.ArgPool) || f.ArgPool[at-1] < 0 || int(f.ArgPool[at-1]) > len(f.ArgPool)-at) {
+			addf("prog: %s@%d: argument list at %d out of range of a %d-register pool", f.Name, pc, at, len(f.ArgPool))
+			continue
+		}
+		sym, args := f.Sym(in), f.Args(in)
 		switch in.Op {
 		case OpConst:
 			checkReg(pc, "dst", in.Dst, false)
@@ -107,7 +116,7 @@ func validateFunc(p *Program, f *Func, globals map[string]bool, addf func(string
 			checkTarget(pc, in.Imm)
 		case OpAlloca:
 			checkReg(pc, "dst", in.Dst, false)
-			if in.Type == nil {
+			if f.Type(in) == nil {
 				addf("prog: %s@%d: alloca without type", f.Name, pc)
 			}
 		case OpMalloc:
@@ -132,36 +141,36 @@ func validateFunc(p *Program, f *Func, globals map[string]bool, addf func(string
 			checkReg(pc, "index", in.B, true)
 		case OpGlobalAddr:
 			checkReg(pc, "dst", in.Dst, false)
-			if !globals[in.Sym] {
-				addf("prog: %s@%d: undefined global %q", f.Name, pc, in.Sym)
+			if !globals[sym] {
+				addf("prog: %s@%d: undefined global %q", f.Name, pc, sym)
 			}
 		case OpCall:
 			checkReg(pc, "dst", in.Dst, false)
-			callee, ok := p.Funcs[in.Sym]
+			callee, ok := p.Funcs[sym]
 			if !ok {
-				addf("prog: %s@%d: undefined function %q", f.Name, pc, in.Sym)
-			} else if len(in.Args) != callee.NumParams {
-				addf("prog: %s@%d: call %q with %d args, want %d", f.Name, pc, in.Sym, len(in.Args), callee.NumParams)
+				addf("prog: %s@%d: undefined function %q", f.Name, pc, sym)
+			} else if len(args) != callee.NumParams {
+				addf("prog: %s@%d: call %q with %d args, want %d", f.Name, pc, sym, len(args), callee.NumParams)
 			}
-			for _, a := range in.Args {
+			for _, a := range args {
 				checkReg(pc, "arg", a, false)
 			}
 		case OpCallExternal, OpLibc:
 			checkReg(pc, "dst", in.Dst, false)
-			if in.Sym == "" {
+			if sym == "" {
 				addf("prog: %s@%d: call without symbol", f.Name, pc)
 			}
-			for _, a := range in.Args {
+			for _, a := range args {
 				checkReg(pc, "arg", a, false)
 			}
 		case OpParFor:
 			checkReg(pc, "lo", in.A, false)
 			checkReg(pc, "hi", in.B, false)
-			callee, ok := p.Funcs[in.Sym]
+			callee, ok := p.Funcs[sym]
 			if !ok {
-				addf("prog: %s@%d: undefined parfor body %q", f.Name, pc, in.Sym)
+				addf("prog: %s@%d: undefined parfor body %q", f.Name, pc, sym)
 			} else if callee.NumParams != 1 {
-				addf("prog: %s@%d: parfor body %q must take 1 param, has %d", f.Name, pc, in.Sym, callee.NumParams)
+				addf("prog: %s@%d: parfor body %q must take 1 param, has %d", f.Name, pc, sym, callee.NumParams)
 			}
 			// The main thread holds thread id 0, so a region has every other
 			// stack of the stack region for its workers.
