@@ -43,7 +43,8 @@ obs-smoke:
 	test -s artifacts/trace-smoke.json
 	grep -q '"name":"run"' artifacts/trace-smoke.json
 
-# The full local CI gate: static checks (gofmt-clean tree, vet), build, the
+# The full local CI gate: static checks (gofmt-clean tree, vet of the root
+# module and of perfbench, its own module that ./... skips), build, the
 # race-enabled unit suites, twenty race-enabled repeats of the fault-retry
 # test (its target must run on recycled state, which the engine's free lists
 # guarantee and a sync.Pool under the race detector did not), the fuzz
@@ -51,6 +52,7 @@ obs-smoke:
 ci:
 	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count 20 -run TestFaultRetryReproduces ./internal/engine

@@ -287,5 +287,5 @@ func newBenchEnv(b *testing.B) *rt.Env {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &rt.Env{Space: space, Heap: alloc.NewHeap(), Globals: alloc.NewGlobals()}
+	return &rt.Env{Space: space, Heap: alloc.NewHeap()}
 }

@@ -116,7 +116,7 @@ func TestInstrumentExposesCompiledForm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Instrument: %v", err)
 	}
-	dump := ip.Funcs["main"].Dump()
+	dump := ip.Func("main").Dump()
 	if !strings.Contains(dump, "check.w") {
 		t.Fatalf("instrumented dump lacks checks:\n%s", dump)
 	}

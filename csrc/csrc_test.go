@@ -312,7 +312,7 @@ func TestSubObjectGEPFlags(t *testing.T) {
 			return 0;
 		}`)
 	var found bool
-	for _, in := range p.Funcs["main"].Code {
+	for _, in := range p.Func("main").Code {
 		if in.Op == prog.OpGEP && in.Has(prog.FlagSubObject) {
 			found = true
 		}
@@ -329,10 +329,10 @@ func TestForLoopRecordsSCEV(t *testing.T) {
 		for (i = 0; i < 64; i += 1) { s = s + i; }
 		return s;
 	}`)
-	if len(p.Funcs["main"].Loops) != 1 {
-		t.Fatalf("loops = %d, want 1", len(p.Funcs["main"].Loops))
+	if len(p.Func("main").Loops) != 1 {
+		t.Fatalf("loops = %d, want 1", len(p.Func("main").Loops))
 	}
-	l := p.Funcs["main"].Loops[0]
+	l := p.Func("main").Loops[0]
 	if !l.Limit.IsConst || l.Limit.Const != 64 || l.Step != 1 {
 		t.Fatalf("SCEV facts wrong: %+v", l)
 	}

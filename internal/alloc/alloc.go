@@ -424,77 +424,18 @@ func (s *Stack) Reset() {
 	s.peak = 0
 }
 
-// Globals lays out the static data segment at program load.
-type Globals struct {
-	mu     sync.Mutex
-	next   uint64
-	byName map[string]GlobalDef
-	order  []string
-}
+// Globals lays out the static data segment at program load: a bump
+// pointer from GlobalsBase. The zero value is an empty layout, so a machine
+// lays its program's globals out from a fresh one and no layout is reused.
+type Globals struct{ used uint64 }
 
-// GlobalDef records one laid-out global object.
-type GlobalDef struct {
-	Name string
-	Addr uint64
-	Size int64
-}
-
-// NewGlobals returns an empty globals layout.
-func NewGlobals() *Globals {
-	return &Globals{next: GlobalsBase, byName: make(map[string]GlobalDef)}
-}
-
-// Define places a global of the given size and returns its address. Defining
-// the same name twice is a linker error.
-func (g *Globals) Define(name string, size int64) (uint64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, dup := g.byName[name]; dup {
-		return 0, fmt.Errorf("alloc: global %q defined twice", name)
-	}
-	rs := roundUp(size)
-	if g.next+uint64(rs) > GlobalsLimit {
+// Define places a global of the given size and returns its address.
+func (g *Globals) Define(size int64) (uint64, error) {
+	rs := uint64(roundUp(size))
+	if rs > GlobalsLimit-GlobalsBase-g.used {
 		return 0, fmt.Errorf("%w: globals segment exhausted", ErrOutOfMemory)
 	}
-	def := GlobalDef{Name: name, Addr: g.next, Size: size}
-	g.byName[name] = def
-	g.order = append(g.order, name)
-	g.next += uint64(rs)
-	return def.Addr, nil
-}
-
-// Reset returns the layout to its freshly-constructed state, forgetting all
-// definitions. A reset layout lays out byte-identical addresses to a new one.
-func (g *Globals) Reset() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.next = GlobalsBase
-	clear(g.byName)
-	g.order = g.order[:0]
-}
-
-// Lookup returns the definition of a named global.
-func (g *Globals) Lookup(name string) (GlobalDef, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	def, ok := g.byName[name]
-	return def, ok
-}
-
-// All returns the definitions in layout order.
-func (g *Globals) All() []GlobalDef {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]GlobalDef, 0, len(g.order))
-	for _, n := range g.order {
-		out = append(out, g.byName[n])
-	}
-	return out
-}
-
-// TotalBytes returns the bytes laid out so far.
-func (g *Globals) TotalBytes() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return int64(g.next - GlobalsBase)
+	addr := GlobalsBase + g.used
+	g.used += rs
+	return addr, nil
 }

@@ -264,30 +264,31 @@ func TestThreadStacksAreDisjoint(t *testing.T) {
 }
 
 func TestGlobalsLayout(t *testing.T) {
-	g := NewGlobals()
-	a, err := g.Define("alpha", 100)
-	if err != nil {
-		t.Fatalf("Define: %v", err)
+	var g Globals
+	for _, c := range []struct {
+		size int64
+		want uint64
+	}{
+		{100, GlobalsBase},
+		{8, GlobalsBase + 112},
+		{0, GlobalsBase + 128}, // a zero-size global still takes an address of its own
+		{24, GlobalsBase + 144},
+	} {
+		addr, err := g.Define(c.size)
+		if err != nil {
+			t.Fatalf("Define(%d): %v", c.size, err)
+		}
+		if addr != c.want {
+			t.Errorf("Define(%d) = %#x, want %#x", c.size, addr, c.want)
+		}
 	}
-	b, err := g.Define("beta", 8)
-	if err != nil {
-		t.Fatalf("Define: %v", err)
+	// The segment fills exactly, then refuses.
+	rest := int64(GlobalsLimit - GlobalsBase - 176)
+	if addr, err := g.Define(rest); err != nil || addr != GlobalsBase+176 {
+		t.Fatalf("Define(rest of segment) = %#x, %v", addr, err)
 	}
-	if a == b || b < a+100 {
-		t.Fatalf("globals overlap: alpha=%#x beta=%#x", a, b)
-	}
-	if _, err := g.Define("alpha", 4); err == nil {
-		t.Error("duplicate Define did not error")
-	}
-	def, ok := g.Lookup("alpha")
-	if !ok || def.Addr != a || def.Size != 100 {
-		t.Fatalf("Lookup(alpha) = %+v, %v", def, ok)
-	}
-	if got := len(g.All()); got != 2 {
-		t.Fatalf("All() returned %d defs, want 2", got)
-	}
-	if g.TotalBytes() < 108 {
-		t.Fatalf("TotalBytes = %d, want >= 108", g.TotalBytes())
+	if _, err := g.Define(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("Define on a full segment: err = %v, want ErrOutOfMemory", err)
 	}
 }
 
@@ -313,29 +314,6 @@ func TestHeapReset(t *testing.T) {
 	}
 	if again != first {
 		t.Errorf("first allocation after Reset = %#x, want %#x", again, first)
-	}
-}
-
-func TestGlobalsReset(t *testing.T) {
-	g := NewGlobals()
-	a1, err := g.Define("x", 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Reset()
-	if _, ok := g.Lookup("x"); ok {
-		t.Error("Lookup succeeds after Reset")
-	}
-	if got := g.TotalBytes(); got != 0 {
-		t.Errorf("TotalBytes after Reset = %d, want 0", got)
-	}
-	// Redefining the same name is legal again and lands at the same address.
-	a2, err := g.Define("x", 24)
-	if err != nil {
-		t.Fatalf("redefine after Reset: %v", err)
-	}
-	if a1 != a2 {
-		t.Errorf("address after Reset = %#x, want %#x", a2, a1)
 	}
 }
 

@@ -22,7 +22,7 @@ func newChainedRuntime(t *testing.T) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := rt.Env{Space: space, Heap: alloc.NewHeap(), Globals: alloc.NewGlobals()}
+	env := rt.Env{Space: space, Heap: alloc.NewHeap()}
 	if err := r.Attach(&env); err != nil {
 		t.Fatal(err)
 	}

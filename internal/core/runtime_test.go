@@ -20,7 +20,7 @@ func newRuntime(t *testing.T) *Runtime {
 	if err != nil {
 		t.Fatalf("NewSpace: %v", err)
 	}
-	env := rt.Env{Space: space, Heap: alloc.NewHeap(), Globals: alloc.NewGlobals()}
+	env := rt.Env{Space: space, Heap: alloc.NewHeap()}
 	if err := r.Attach(&env); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
 	"cecsan/internal/checkpoint"
+	"cecsan/internal/splitmix"
 )
 
 // TestCampaignCheckpointResume is the fuzz-side kill-resume proof: a
@@ -15,78 +17,88 @@ import (
 // kill -9 between chunks), resumed under a different worker count, must
 // produce a report byte-identical to an uninterrupted run — findings,
 // aggregates, fault cases and the case digest alike.
+//
+// The cuts derive from a seed. A run leaves its snapshot at its last chunk
+// boundary before Count, so each seeded chunk size cuts somewhere else.
+// Each resumed run checkpoints again at a seeded chunk size, and the later
+// cut it leaves is resumed once more: a campaign killed twice.
 func TestCampaignCheckpointResume(t *testing.T) {
 	cfg := Config{Seed: 7, Count: 150, FaultSeed: 3, Workers: 2}
 	if testing.Short() {
 		cfg.Count = 60
 	}
+	ref := campaignJSON(t, cfg)
 
-	ref, err := NewRunner(cfg)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	rng := splitmix.New(27)
+	every := []int{cfg.Count / 3}
+	for range 4 {
+		every = append(every, rng.RangeIn(1, cfg.Count-1))
 	}
-	refRep, err := ref.Campaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refRep.CaseDigest == "" {
-		t.Fatal("reference campaign produced no case digest")
-	}
-	refJSON, err := json.Marshal(refRep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for i, e := range every {
+		ckCfg := cfg
+		ckCfg.CheckpointPath = filepath.Join(dir, fmt.Sprintf("run%d.ckpt", i))
+		ckCfg.CheckpointEvery = e
+		if got := campaignJSON(t, ckCfg); !bytes.Equal(ref, got) {
+			t.Fatalf("checkpointing every %d cases changed the report:\n%s\nvs\n%s", e, got, ref)
+		}
+		saved := loadCut(t, ckCfg.CheckpointPath, 0, cfg.Count)
 
-	// A checkpointed run overwrites its snapshot after every chunk, so the
-	// file left behind is the last between-chunks cut — mid-campaign, since
-	// no snapshot is written once the final chunk lands.
-	ckpt := filepath.Join(t.TempDir(), "fuzz.ckpt")
-	every := cfg.Count / 3
-	ckCfg := cfg
-	ckCfg.CheckpointPath = ckpt
-	ckCfg.CheckpointEvery = every
-	ckRunner, err := NewRunner(ckCfg)
-	if err != nil {
-		t.Fatal(err)
+		// Resume, checkpointing again; the last cut is resumed once more.
+		for gen := 1; gen <= 2; gen++ {
+			resCfg := cfg
+			resCfg.Workers = rng.RangeIn(1, 8)
+			resCfg.Resume = saved
+			left := cfg.Count - saved.NextCase
+			if gen == 1 && left > 1 {
+				resCfg.CheckpointPath = filepath.Join(dir, fmt.Sprintf("run%d-resumed.ckpt", i))
+				resCfg.CheckpointEvery = rng.RangeIn(1, left-1)
+			}
+			if got := campaignJSON(t, resCfg); !bytes.Equal(ref, got) {
+				t.Fatalf("resumed at case %d of %d (chunks of %d, %d workers), the report diverged from the uninterrupted run:\n%s\nvs\n%s",
+					saved.NextCase, cfg.Count, e, resCfg.Workers, got, ref)
+			}
+			if resCfg.CheckpointPath == "" {
+				break
+			}
+			saved = loadCut(t, resCfg.CheckpointPath, saved.NextCase, cfg.Count)
+		}
 	}
-	ckRep, err := ckRunner.Campaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckJSON, err := json.Marshal(ckRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refJSON, ckJSON) {
-		t.Fatalf("checkpointing changed the report:\n%s\nvs\n%s", ckJSON, refJSON)
-	}
+}
 
+// campaignJSON runs cfg's campaign and returns its report as JSON.
+func campaignJSON(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Campaign()
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	if rep.CaseDigest == "" {
+		t.Fatal("campaign produced no case digest")
+	}
+	out, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// loadCut loads the snapshot at path and checks that its cursor lies
+// strictly between after and count.
+func loadCut(t *testing.T, path string, after, count int) *CampaignCheckpoint {
+	t.Helper()
 	var saved CampaignCheckpoint
-	if err := checkpoint.Load(ckpt, checkpoint.KindFuzz, &saved); err != nil {
+	if err := checkpoint.Load(path, checkpoint.KindFuzz, &saved); err != nil {
 		t.Fatalf("load checkpoint: %v", err)
 	}
-	if saved.NextCase == 0 || saved.NextCase >= cfg.Count {
-		t.Fatalf("snapshot not mid-campaign: cursor %d of %d", saved.NextCase, cfg.Count)
+	if saved.NextCase <= after || saved.NextCase >= count {
+		t.Fatalf("snapshot cursor %d not in (%d, %d)", saved.NextCase, after, count)
 	}
-
-	resCfg := cfg
-	resCfg.Workers = 8
-	resCfg.Resume = &saved
-	resumed, err := NewRunner(resCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resRep, err := resumed.Campaign()
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	resJSON, err := json.Marshal(resRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refJSON, resJSON) {
-		t.Fatalf("resumed report diverged from uninterrupted run:\n%s\nvs\n%s", resJSON, refJSON)
-	}
+	return &saved
 }
 
 // TestCampaignResumeValidation: a snapshot resumed under the wrong campaign

@@ -15,48 +15,32 @@ import (
 	"cecsan/prog"
 )
 
-var funcsSink map[string]*prog.Func
-
-// mapAllocs is the number of heap objects a Funcs map with n entries takes.
-func mapAllocs(n int) int {
-	keys := make([]string, n)
-	for i := range keys {
-		keys[i] = string(rune('a' + i))
-	}
-	return int(testing.AllocsPerRun(10, func() {
-		m := make(map[string]*prog.Func, n)
-		for _, k := range keys {
-			m[k] = nil
-		}
-		funcsSink = m
-	}))
-}
-
 // keptObjects counts the heap objects out holds that src does not: the
-// Program and its Funcs map, the global table when global tracking copied
-// it, and for each function a pass changed, the Func, its code, loops and
-// allocas, and its argument pool when a pass added an OpCheckPeriodic's
+// Program and its function slice, the global table when global tracking
+// copied it, and for each function a pass changed, the Func, its code and
+// loops, and its argument pool when a pass added an OpCheckPeriodic's
 // argument list to it. A changed function must share its source's
 // reference table, which is never counted.
 func keptObjects(t *testing.T, src, out *prog.Program) int {
-	n := 1 + mapAllocs(len(out.Funcs))
+	n := 2
 	if len(out.Globals) > 0 && &out.Globals[0] != &src.Globals[0] {
 		n++
 	}
-	for name, f := range out.Funcs {
-		if f == src.Funcs[name] {
+	for i, f := range out.Funcs {
+		sf := src.Funcs[i]
+		if f == sf {
 			continue
 		}
 		n++
-		for _, l := range []int{len(f.Code), len(f.Loops), len(f.Allocas)} {
+		for _, l := range []int{len(f.Code), len(f.Loops)} {
 			if l > 0 {
 				n++
 			}
 		}
-		if !sameSlice(f.Refs, src.Funcs[name].Refs) {
-			t.Fatalf("%s does not share its source's reference table", name)
+		if !sameSlice(f.Refs, sf.Refs) {
+			t.Fatalf("%s does not share its source's reference table", f.Name)
 		}
-		if !sameSlice(f.ArgPool, src.Funcs[name].ArgPool) {
+		if !sameSlice(f.ArgPool, sf.ArgPool) {
 			n++
 		}
 	}

@@ -72,16 +72,16 @@ func (s *scratch) globalRoot(sym string) int32 {
 	return unknownGlobal
 }
 
-// analyzeAll analyzes every function of p, in Order, into the scratch's
+// analyzeAll analyzes every function of p, in order, into the scratch's
 // reusable analyses. The passes read only these facts of the source code,
 // so global classification and instrumentation share them.
 func (s *scratch) analyzeAll(p *prog.Program) []funcAnalysis {
-	for len(s.analyses) < len(p.Order) {
+	for len(s.analyses) < len(p.Funcs) {
 		s.analyses = append(s.analyses, funcAnalysis{})
 	}
-	as := s.analyses[:len(p.Order)]
-	for i, name := range p.Order {
-		s.analyze(&as[i], p.Funcs[name], p.Globals)
+	as := s.analyses[:len(p.Funcs)]
+	for i, f := range p.Funcs {
+		s.analyze(&as[i], f, p.Globals)
 	}
 	return as
 }
@@ -247,8 +247,7 @@ func (s *scratch) classifyGlobals(p *prog.Program, as []funcAnalysis) []bool {
 	for _, g := range p.Globals {
 		unsafe[s.globalIdx[g.Name]] = g.AddressTaken
 	}
-	for fi, name := range p.Order {
-		f := p.Funcs[name]
+	for fi, f := range p.Funcs {
 		a := &as[fi]
 		mark := func(r prog.Reg) {
 			if r == prog.NoReg {

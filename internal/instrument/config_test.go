@@ -119,9 +119,9 @@ func TestApplyStoresExactSize(t *testing.T) {
 			if cap(ip.Globals) != len(ip.Globals) {
 				t.Fatalf("%s: program %d globals len %d cap %d", tool, i, len(ip.Globals), cap(ip.Globals))
 			}
-			for name, f := range ip.Funcs {
+			for _, f := range ip.Funcs {
 				if cap(f.Code) != len(f.Code) {
-					t.Fatalf("%s: program %d func %s code len %d cap %d", tool, i, name, len(f.Code), cap(f.Code))
+					t.Fatalf("%s: program %d func %s code len %d cap %d", tool, i, f.Name, len(f.Code), cap(f.Code))
 				}
 			}
 		}

@@ -59,8 +59,7 @@ func apply(p *prog.Program, profile rt.Profile) *prog.Program {
 	s := getScratch()
 	defer s.release()
 	out := &prog.Program{
-		Funcs:   make(map[string]*prog.Func, len(p.Funcs)),
-		Order:   p.Order,
+		Funcs:   make([]*prog.Func, len(p.Funcs)),
 		Globals: p.Globals,
 		Entry:   p.Entry,
 	}
@@ -86,8 +85,7 @@ func apply(p *prog.Program, profile rt.Profile) *prog.Program {
 		}
 	}
 
-	for i, name := range p.Order {
-		src := p.Funcs[name]
+	for i, src := range p.Funcs {
 		f := s.begin(src)
 		s.instrumentFunc(f, &as[i], profile)
 		if profile.OptRedundant {
@@ -99,7 +97,7 @@ func apply(p *prog.Program, profile rt.Profile) *prog.Program {
 		if profile.OptMonotonic {
 			s.groupMonotonicChecks(f, profile.CheckStep)
 		}
-		out.Funcs[name] = s.result(src, f)
+		out.Funcs[i] = s.result(src, f)
 	}
 	return out
 }
@@ -111,9 +109,8 @@ func apply(p *prog.Program, profile rt.Profile) *prog.Program {
 type scratch struct {
 	// fn is the function the passes work on: the source's code until a
 	// pass rewrites it, then one of bufs.
-	fn      prog.Func
-	loops   []prog.Loop
-	allocas []int
+	fn    prog.Func
+	loops []prog.Loop
 	// argPool is fn's argument pool once a pass has added a list to it;
 	// until then (ownArgs false) fn shares the source's.
 	argPool []prog.Reg
@@ -186,7 +183,6 @@ func (s *scratch) begin(src *prog.Func) *prog.Func {
 		NumRegs:   src.NumRegs,
 		Code:      src.Code,
 		Loops:     s.loops,
-		Allocas:   src.Allocas,
 		Refs:      src.Refs,
 		ArgPool:   src.ArgPool,
 	}
@@ -210,9 +206,9 @@ func (s *scratch) appendArgs(f *prog.Func, args ...prog.Reg) uint32 {
 }
 
 // result returns the output function for src: src itself when no pass
-// changed it, otherwise a copy of the working function whose code, loops,
-// allocas and, when a pass extended it, argument pool are stored
-// exact-size. The reference table is always the source's.
+// changed it, otherwise a copy of the working function whose code, loops
+// and, when a pass extended it, argument pool are stored exact-size. The
+// reference table is always the source's.
 func (s *scratch) result(src, f *prog.Func) *prog.Func {
 	if s.cur < 0 {
 		return src
@@ -227,7 +223,6 @@ func (s *scratch) result(src, f *prog.Func) *prog.Func {
 		NumRegs:   f.NumRegs,
 		Code:      exactCopy(f.Code),
 		Loops:     exactCopy(f.Loops),
-		Allocas:   exactCopy(f.Allocas),
 		Refs:      f.Refs,
 		ArgPool:   argPool,
 	}
@@ -268,8 +263,8 @@ func (s *scratch) emitNew(in prog.Instr) {
 	s.changed = true
 }
 
-// finish installs the rewritten code, remapping branches, loops and alloca
-// indices. A rewrite that changed nothing leaves f as it was.
+// finish installs the rewritten code, remapping branches and loops. A
+// rewrite that changed nothing leaves f as it was.
 func (s *scratch) finish(f *prog.Func) {
 	out := s.out
 	s.bufs[s.next] = out // keep what appending grew
@@ -297,13 +292,6 @@ func (s *scratch) finish(f *prog.Func) {
 	}
 	s.cur = s.next
 	f.Code = out
-	s.allocas = s.allocas[:0]
-	for i := range f.Code {
-		if f.Code[i].Op == prog.OpAlloca {
-			s.allocas = append(s.allocas, i)
-		}
-	}
-	f.Allocas = s.allocas
 }
 
 // instrumentFunc performs the insertion pass for one function: check

@@ -45,10 +45,10 @@ func TestApplyDoesNotModifyOriginal(t *testing.T) {
 	f.Store(b, 0, f.Const(1), prog.Int64T())
 	f.RetVoid()
 	p := pb.MustBuild()
-	before := len(p.Funcs["main"].Code)
+	before := len(p.Func("main").Code)
 	san, _ := core.Sanitizer(cecsanOpts())
 	_ = Apply(p, san.Profile)
-	if got := len(p.Funcs["main"].Code); got != before {
+	if got := len(p.Func("main").Code); got != before {
 		t.Fatalf("Apply mutated the input program: %d -> %d instructions", before, got)
 	}
 }
@@ -67,8 +67,8 @@ func TestChecksInsertedForHeapAccesses(t *testing.T) {
 	opts.OptRedundant = false // observe raw insertion
 	san, _ := core.Sanitizer(opts)
 	ip := Apply(built, san.Profile)
-	if got := countOps(ip.Funcs["main"], prog.OpCheckAccess); got != 2 {
-		t.Fatalf("inserted %d checks, want 2 (one store, one load)\n%s", got, ip.Funcs["main"].Dump())
+	if got := countOps(ip.Func("main"), prog.OpCheckAccess); got != 2 {
+		t.Fatalf("inserted %d checks, want 2 (one store, one load)\n%s", got, ip.Func("main").Dump())
 	}
 }
 
@@ -92,8 +92,8 @@ func TestTypeBasedRemoval(t *testing.T) {
 
 	san, _ := core.Sanitizer(cecsanOpts())
 	ip := Apply(built, san.Profile)
-	if got := countOps(ip.Funcs["main"], prog.OpCheckAccess); got != 1 {
-		t.Fatalf("checks = %d, want 1 (only the dynamic index)\n%s", got, ip.Funcs["main"].Dump())
+	if got := countOps(ip.Func("main"), prog.OpCheckAccess); got != 1 {
+		t.Fatalf("checks = %d, want 1 (only the dynamic index)\n%s", got, ip.Func("main").Dump())
 	}
 
 	// With the optimization off, both accesses are checked.
@@ -101,7 +101,7 @@ func TestTypeBasedRemoval(t *testing.T) {
 	opts.OptTypeBased = false
 	san2, _ := core.Sanitizer(opts)
 	ip2 := Apply(built, san2.Profile)
-	if got := countOps(ip2.Funcs["main"], prog.OpCheckAccess); got != 2 {
+	if got := countOps(ip2.Func("main"), prog.OpCheckAccess); got != 2 {
 		t.Fatalf("ablation checks = %d, want 2", got)
 	}
 }
@@ -120,10 +120,12 @@ func TestStackClassification(t *testing.T) {
 	san, _ := core.Sanitizer(cecsanOpts())
 	ip := Apply(built, san.Profile)
 
-	fn := ip.Funcs["main"]
+	fn := ip.Func("main")
 	var trackedStates []bool
-	for _, ai := range fn.Allocas {
-		trackedStates = append(trackedStates, fn.Code[ai].Has(prog.FlagTracked))
+	for i := range fn.Code {
+		if fn.Code[i].Op == prog.OpAlloca {
+			trackedStates = append(trackedStates, fn.Code[i].Has(prog.FlagTracked))
+		}
 	}
 	if len(trackedStates) != 2 {
 		t.Fatalf("allocas = %d, want 2", len(trackedStates))
@@ -267,15 +269,15 @@ func TestRedundantCheckElimination(t *testing.T) {
 
 	san, _ := core.Sanitizer(cecsanOpts())
 	ip := Apply(built, san.Profile)
-	if got := countOps(ip.Funcs["main"], prog.OpCheckAccess); got != 1 {
-		t.Fatalf("checks after redundancy elimination = %d, want 1\n%s", got, ip.Funcs["main"].Dump())
+	if got := countOps(ip.Func("main"), prog.OpCheckAccess); got != 1 {
+		t.Fatalf("checks after redundancy elimination = %d, want 1\n%s", got, ip.Func("main").Dump())
 	}
 
 	opts := cecsanOpts()
 	opts.OptRedundant = false
 	san2, _ := core.Sanitizer(opts)
 	ip2 := Apply(built, san2.Profile)
-	if got := countOps(ip2.Funcs["main"], prog.OpCheckAccess); got != 3 {
+	if got := countOps(ip2.Func("main"), prog.OpCheckAccess); got != 3 {
 		t.Fatalf("ablation checks = %d, want 3", got)
 	}
 }
@@ -293,8 +295,8 @@ func TestReadCheckDoesNotSubsumeWrite(t *testing.T) {
 	san, _ := core.Sanitizer(cecsanOpts())
 	ip := Apply(built, san.Profile)
 	// Read then write: the read check must NOT absorb the write check.
-	if got := countOps(ip.Funcs["main"], prog.OpCheckAccess); got != 2 {
-		t.Fatalf("checks = %d, want 2 (read does not subsume write)\n%s", got, ip.Funcs["main"].Dump())
+	if got := countOps(ip.Func("main"), prog.OpCheckAccess); got != 2 {
+		t.Fatalf("checks = %d, want 2 (read does not subsume write)\n%s", got, ip.Func("main").Dump())
 	}
 }
 
@@ -312,8 +314,8 @@ func TestRedefinitionEndsRedundancy(t *testing.T) {
 	f.RetVoid()
 	san, _ := core.Sanitizer(cecsanOpts())
 	ip := Apply(pb.MustBuild(), san.Profile)
-	if got := countOps(ip.Funcs["main"], prog.OpCheckAccess); got != 2 {
-		t.Fatalf("checks = %d, want 2 (one per object)\n%s", got, ip.Funcs["main"].Dump())
+	if got := countOps(ip.Func("main"), prog.OpCheckAccess); got != 2 {
+		t.Fatalf("checks = %d, want 2 (one per object)\n%s", got, ip.Func("main").Dump())
 	}
 }
 
@@ -458,10 +460,10 @@ func TestPtrMetaInstrumentation(t *testing.T) {
 
 	profile := rt.Profile{Name: "sb", CheckLoads: true, CheckStores: true, PtrMeta: true}
 	ip := Apply(built, profile)
-	if got := countOps(ip.Funcs["main"], prog.OpPtrMetaStore); got != 1 {
+	if got := countOps(ip.Func("main"), prog.OpPtrMetaStore); got != 1 {
 		t.Errorf("PtrMetaStore = %d, want 1", got)
 	}
-	if got := countOps(ip.Funcs["main"], prog.OpPtrMetaLoad); got != 1 {
+	if got := countOps(ip.Func("main"), prog.OpPtrMetaLoad); got != 1 {
 		t.Errorf("PtrMetaLoad = %d, want 1", got)
 	}
 }

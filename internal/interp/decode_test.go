@@ -102,8 +102,7 @@ func TestBranchIntoFusedGroupRunsPlainTail(t *testing.T) {
 		19: {Op: prog.OpRet, A: r(3)},
 	}
 	p := &prog.Program{
-		Funcs: map[string]*prog.Func{"main": {Name: "main", NumRegs: 10, Code: code}},
-		Order: []string{"main"},
+		Funcs: []*prog.Func{{Name: "main", NumRegs: 10, Code: code}},
 		Entry: "main",
 	}
 	run := func(disable bool) (*Machine, *Result) {

@@ -162,9 +162,8 @@ func (r *Result) Ok() bool { return r.Violation == nil && r.Fault == nil && r.Er
 // byte-identically to one built on fresh ones (same addresses, same zeroed
 // memory, same RSS accounting).
 type Resources struct {
-	Space   *mem.Space
-	Heap    *alloc.Heap
-	Globals *alloc.Globals
+	Space *mem.Space
+	Heap  *alloc.Heap
 
 	// gptPtr/gptMeta back the machine's Global Pointer Table, indexed by
 	// the program's GPT slots (prog.Link). NewOn refills them per machine,
@@ -192,9 +191,8 @@ func NewResources(addrBits uint) (*Resources, error) {
 		return nil, fmt.Errorf("interp: %w", err)
 	}
 	return &Resources{
-		Space:   space,
-		Heap:    alloc.NewHeap(),
-		Globals: alloc.NewGlobals(),
+		Space: space,
+		Heap:  alloc.NewHeap(),
 	}, nil
 }
 
@@ -203,7 +201,6 @@ func NewResources(addrBits uint) (*Resources, error) {
 func (r *Resources) Reset() {
 	r.Space.Reset()
 	r.Heap.Reset()
-	r.Globals.Reset()
 	clear(r.code) // drop the last program's instructions
 }
 
@@ -216,9 +213,8 @@ type Machine struct {
 	san     rt.Sanitizer
 	res     *Resources
 
-	space   *mem.Space
-	heap    *alloc.Heap
-	globals *alloc.Globals
+	space *mem.Space
+	heap  *alloc.Heap
 
 	// addrMask clears tag bits when forming raw addresses; ^0 when the
 	// sanitizer does not tag pointers.
@@ -313,7 +309,6 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 		res:     res,
 		space:   res.Space,
 		heap:    res.Heap,
-		globals: res.Globals,
 		gptPtr:  res.gptPtr,
 		gptMeta: res.gptMeta,
 		opts:    opts,
@@ -327,18 +322,19 @@ func NewOn(res *Resources, p *prog.Program, san rt.Sanitizer, opts Options) (*Ma
 	m.trackMeta = san.Profile.PtrMeta
 	m.decode(res)
 
-	env := rt.Env{Space: m.space, Heap: m.heap, Globals: m.globals}
+	env := rt.Env{Space: m.space, Heap: m.heap}
 	if err := san.Runtime.Attach(&env); err != nil {
 		return nil, fmt.Errorf("interp: attach %s: %w", san.Runtime.Name(), err)
 	}
 
+	var layout alloc.Globals
 	for slot, g := range p.Globals {
 		defSize := g.Type.Size()
 		tracked := g.AddressTaken && san.Profile.TrackGlobals
 		if tracked && san.Profile.GlobalRedzone > 0 {
 			defSize += san.Profile.GlobalRedzone // redzone-based layout change
 		}
-		addr, err := m.globals.Define(g.Name, defSize)
+		addr, err := layout.Define(defSize)
 		if err != nil {
 			return nil, fmt.Errorf("interp: %w", err)
 		}

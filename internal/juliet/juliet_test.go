@@ -63,7 +63,7 @@ func TestGenerateIsDeterministic(t *testing.T) {
 		if a[i].ID != b[i].ID {
 			t.Fatalf("case %d: ID %q != %q", i, a[i].ID, b[i].ID)
 		}
-		if a[i].Good.Funcs["main"].Dump() != b[i].Good.Funcs["main"].Dump() {
+		if a[i].Good.Func("main").Dump() != b[i].Good.Func("main").Dump() {
 			t.Fatalf("case %d: non-deterministic program body", i)
 		}
 	}

@@ -109,9 +109,8 @@ func (m PtrMeta) Valid() bool { return m.Bound != 0 }
 
 // Env hands the machine's facilities to a runtime at attach time.
 type Env struct {
-	Space   *mem.Space
-	Heap    *alloc.Heap
-	Globals *alloc.Globals
+	Space *mem.Space
+	Heap  *alloc.Heap
 }
 
 // Runtime is a sanitizer runtime library. All methods are called by the

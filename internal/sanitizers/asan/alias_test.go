@@ -15,7 +15,7 @@ func TestNoLiveAliasingUnderEviction(t *testing.T) {
 	opts.QuarantineBytes = 32 << 10
 	r := New(opts)
 	space, _ := mem.NewSpace(47)
-	env := rt.Env{Space: space, Heap: alloc.NewHeap(), Globals: alloc.NewGlobals()}
+	env := rt.Env{Space: space, Heap: alloc.NewHeap()}
 	if err := r.Attach(&env); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func newRuntime(t *testing.T) *Runtime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := rt.Env{Space: space, Heap: alloc.NewHeap(), Globals: alloc.NewGlobals()}
+	env := rt.Env{Space: space, Heap: alloc.NewHeap()}
 	if err := r.Attach(&env); err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,6 @@ import (
 	"testing"
 )
 
-var funcsSink map[string]*Func
-
-// mapAllocs is the number of heap objects a Funcs map with n entries takes.
-func mapAllocs(names []string) int {
-	return int(testing.AllocsPerRun(10, func() {
-		m := make(map[string]*Func, len(names))
-		for _, name := range names {
-			m[name] = nil
-		}
-		funcsSink = m
-	}))
-}
-
 // allocSample builds a program with globals, a helper function, a loop,
 // allocas and calls: every kind of slice Build copies out.
 func allocSample() *ProgramBuilder {
@@ -45,10 +32,9 @@ func allocSample() *ProgramBuilder {
 }
 
 // TestBuildAllocatesOnlyWhatItKeeps pins Build's allocation budget: it
-// allocates the Funcs map, the function order, and one exact-size copy of
-// each function's code, loops, allocas, reference table and argument pool
-// and of the global table — only objects the program keeps. The builders'
-// growable space is recycled.
+// allocates the function slice and one exact-size copy of each function's
+// code, loops, reference table and argument pool and of the global table —
+// only objects the program keeps. The builders' growable space is recycled.
 func TestBuildAllocatesOnlyWhatItKeeps(t *testing.T) {
 	// A collection empties the scratch pools; their regrowth is not Build's.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -69,12 +55,12 @@ func TestBuildAllocatesOnlyWhatItKeeps(t *testing.T) {
 		p = pbs[next].MustBuild()
 		next++
 	})
-	want := mapAllocs(p.Order) + 1
+	want := 1
 	if len(p.Globals) > 0 {
 		want++
 	}
 	for _, f := range p.Funcs {
-		for _, n := range []int{len(f.Code), len(f.Loops), len(f.Allocas), len(f.Refs), len(f.ArgPool)} {
+		for _, n := range []int{len(f.Code), len(f.Loops), len(f.Refs), len(f.ArgPool)} {
 			if n > 0 {
 				want++
 			}

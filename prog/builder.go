@@ -70,7 +70,7 @@ func (pb *ProgramBuilder) Function(name string, numParams int) *FuncBuilder {
 		pb: pb,
 		fn: &Func{
 			Name: name, NumParams: numParams, NumRegs: numParams,
-			Code: s.code, Loops: s.loops, Allocas: s.allocas, Refs: s.refs, ArgPool: s.argPool,
+			Code: s.code, Loops: s.loops, Refs: s.refs, ArgPool: s.argPool,
 		},
 		s: s,
 	}
@@ -79,8 +79,8 @@ func (pb *ProgramBuilder) Function(name string, numParams int) *FuncBuilder {
 }
 
 // Build finalizes all functions, validates the program, and returns it.
-// Each function's code, loops, allocas and side tables and the global
-// table are copied out of the builders' growable space exact-size, once.
+// Each function's code, loops and side tables and the global table are
+// copied out of the builders' growable space exact-size, once.
 // A builder builds one program: it declares no globals after Build, and a
 // second Build fails.
 func (pb *ProgramBuilder) Build() (*Program, error) {
@@ -93,10 +93,9 @@ func (pb *ProgramBuilder) Build() (*Program, error) {
 	g.specs = g.specs[:0]
 	pb.globals = nil
 	globalScratches.Put(g)
-	p.Funcs = make(map[string]*Func, len(pb.fbs))
-	p.Order = make([]string, 0, len(pb.fbs))
+	p.Funcs = make([]*Func, 0, len(pb.fbs))
 	for _, fb := range pb.fbs {
-		if _, dup := p.Funcs[fb.fn.Name]; dup {
+		if p.funcIndex(fb.fn.Name) >= 0 {
 			pb.errs = append(pb.errs, fmt.Errorf("prog: function %q defined twice", fb.fn.Name))
 			continue
 		}
@@ -104,8 +103,7 @@ func (pb *ProgramBuilder) Build() (*Program, error) {
 			fb.RetVoid()
 		}
 		fb.finish()
-		p.Funcs[fb.fn.Name] = fb.fn
-		p.Order = append(p.Order, fb.fn.Name)
+		p.Funcs = append(p.Funcs, fb.fn)
 	}
 	if len(pb.errs) > 0 {
 		return nil, pb.errs[0]
@@ -137,12 +135,11 @@ type FuncBuilder struct {
 
 // funcScratch is the reusable space a FuncBuilder emits into. Builds of
 // many small programs (the Juliet suite) would otherwise grow every
-// function's code, loops, allocas and side tables by doubling and then
+// function's code, loops and side tables by doubling and then
 // copy them exact-size.
 type funcScratch struct {
 	code    []Instr
 	loops   []Loop
-	allocas []int
 	refs    []Ref
 	argPool []Reg
 	// consts[r] is register r's known, never-clobbered constant.
@@ -162,10 +159,10 @@ var funcScratches = sync.Pool{New: func() any { return new(funcScratch) }}
 // the scratch to its pool.
 func (f *FuncBuilder) finish() {
 	s, fn := f.s, f.fn
-	s.code, s.loops, s.allocas, s.refs, s.argPool = fn.Code, fn.Loops, fn.Allocas, fn.Refs, fn.ArgPool
-	fn.Code, fn.Loops, fn.Allocas = exactCopy(s.code), exactCopy(s.loops), exactCopy(s.allocas)
+	s.code, s.loops, s.refs, s.argPool = fn.Code, fn.Loops, fn.Refs, fn.ArgPool
+	fn.Code, fn.Loops = exactCopy(s.code), exactCopy(s.loops)
 	fn.Refs, fn.ArgPool = exactCopy(s.refs), exactCopy(s.argPool)
-	s.code, s.loops, s.allocas = s.code[:0], s.loops[:0], s.allocas[:0]
+	s.code, s.loops = s.code[:0], s.loops[:0]
 	clear(s.refs) // drop the names and types the pool would keep alive
 	s.refs, s.argPool = s.refs[:0], s.argPool[:0]
 	clear(s.consts)
@@ -332,8 +329,7 @@ func (f *FuncBuilder) Cmp(pred CmpPred, a, b Reg) Reg {
 // whether the object is tracked.
 func (f *FuncBuilder) Alloca(t *Type) Reg {
 	dst := f.NewReg()
-	idx := f.emit(Instr{Op: OpAlloca, Dst: dst, Size: t.Size(), Ref: f.ref("", t), A: NoReg, B: NoReg})
-	f.fn.Allocas = append(f.fn.Allocas, idx)
+	f.emit(Instr{Op: OpAlloca, Dst: dst, Size: t.Size(), Ref: f.ref("", t), A: NoReg, B: NoReg})
 	return dst
 }
 

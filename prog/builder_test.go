@@ -26,7 +26,7 @@ func TestBuildAddsImplicitReturn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	code := p.Funcs["main"].Code
+	code := p.Func("main").Code
 	if code[len(code)-1].Op != OpRet {
 		t.Fatal("missing implicit RetVoid")
 	}
@@ -43,7 +43,7 @@ func TestIfShape(t *testing.T) {
 	)
 	f.RetVoid()
 	p := pb.MustBuild()
-	code := p.Funcs["main"].Code
+	code := p.Func("main").Code
 
 	// Find the CondBr and check it targets the then-block.
 	var condbr *Instr
@@ -74,7 +74,7 @@ func TestForRangeRecordsLoopFacts(t *testing.T) {
 	})
 	f.RetVoid()
 	p := pb.MustBuild()
-	fn := p.Funcs["main"]
+	fn := p.Func("main")
 
 	if len(fn.Loops) != 1 {
 		t.Fatalf("got %d loops, want 1", len(fn.Loops))
@@ -114,7 +114,7 @@ func TestNestedLoopsRecordInnerFirst(t *testing.T) {
 	})
 	f.RetVoid()
 	p := pb.MustBuild()
-	loops := p.Funcs["main"].Loops
+	loops := p.Func("main").Loops
 	if len(loops) != 2 {
 		t.Fatalf("got %d loops, want 2", len(loops))
 	}
@@ -133,7 +133,7 @@ func TestDescendingForRange(t *testing.T) {
 	f.ForRange(ConstOperand(9), ConstOperand(0), -1, func(i Reg) { f.Mov(i) })
 	f.RetVoid()
 	p := pb.MustBuild()
-	l := p.Funcs["main"].Loops[0]
+	l := p.Func("main").Loops[0]
 	if l.Step != -1 {
 		t.Fatalf("step = %d, want -1", l.Step)
 	}
@@ -153,9 +153,9 @@ func TestFieldPtrFlags(t *testing.T) {
 	p := pb.MustBuild()
 
 	var gep *Instr
-	for i := range p.Funcs["main"].Code {
-		if p.Funcs["main"].Code[i].Op == OpGEP {
-			gep = &p.Funcs["main"].Code[i]
+	for i := range p.Func("main").Code {
+		if p.Func("main").Code[i].Op == OpGEP {
+			gep = &p.Func("main").Code[i]
 		}
 	}
 	if gep == nil {
@@ -188,7 +188,7 @@ func TestIndexPtrStaticSafety(t *testing.T) {
 	p := pb.MustBuild()
 
 	var geps []Instr
-	for _, in := range p.Funcs["main"].Code {
+	for _, in := range p.Func("main").Code {
 		if in.Op == OpGEP {
 			geps = append(geps, in)
 		}
@@ -219,7 +219,7 @@ func TestPointerLoadsCarryPtrValFlag(t *testing.T) {
 	p := pb.MustBuild()
 
 	var loads, stores []Instr
-	for _, in := range p.Funcs["main"].Code {
+	for _, in := range p.Func("main").Code {
 		switch in.Op {
 		case OpLoad:
 			loads = append(loads, in)
@@ -310,6 +310,17 @@ func TestValidateCatchesErrors(t *testing.T) {
 				return pb
 			},
 			want: "declared twice",
+		},
+		{
+			name: "duplicate function",
+			build: func() *ProgramBuilder {
+				pb := NewProgram()
+				pb.Function("helper", 0).RetVoid()
+				pb.Function("helper", 1).RetVoid()
+				pb.Function("main", 0).RetVoid()
+				return pb
+			},
+			want: `function "helper" defined twice`,
 		},
 		{
 			name: "ref out of range",
@@ -405,7 +416,7 @@ func TestBuildStoresExactSize(t *testing.T) {
 	if cap(p.Globals) != len(p.Globals) {
 		t.Errorf("globals len %d cap %d", len(p.Globals), cap(p.Globals))
 	}
-	if c := p.Funcs["main"].Code; cap(c) != len(c) {
+	if c := p.Func("main").Code; cap(c) != len(c) {
 		t.Errorf("code len %d cap %d", len(c), cap(c))
 	}
 }

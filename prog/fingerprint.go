@@ -137,9 +137,8 @@ func (p *Program) fingerprint() Fingerprint {
 		w.bytes(g.InitBytes)
 		w.bool(g.AddressTaken)
 	}
-	w.uint(uint64(len(p.Order)))
-	for _, name := range p.Order {
-		f := p.Funcs[name]
+	w.uint(uint64(len(p.Funcs)))
+	for _, f := range p.Funcs {
 		w.str(f.Name)
 		w.int(int64(f.NumParams))
 		w.int(int64(f.NumRegs))

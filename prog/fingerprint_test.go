@@ -83,6 +83,45 @@ func TestInstrSize(t *testing.T) {
 	}
 }
 
+// TestFuncSize pins a function's header at 128 bytes: its name, register
+// counts and four slices, and no per-function index beside them.
+func TestFuncSize(t *testing.T) {
+	if got := unsafe.Sizeof(Func{}); got != 128 {
+		t.Errorf("unsafe.Sizeof(Func{}) = %d, want 128", got)
+	}
+}
+
+// TestProgramHasNoMaps pins that a program and its functions hold no map,
+// at any depth short of a pointer: a map costs a header and a slot group
+// per program, and the functions' definition-ordered slice already holds
+// what a name index would.
+func TestProgramHasNoMaps(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Program{}), reflect.TypeOf(Func{})} {
+		for i := range typ.NumField() {
+			if f := typ.Field(i); holdsMap(f.Type) {
+				t.Errorf("%s.%s is a %s, which holds a map", typ.Name(), f.Name, f.Type)
+			}
+		}
+	}
+}
+
+// holdsMap reports whether values of t hold a map inline or in a slice.
+func holdsMap(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Map:
+		return true
+	case reflect.Array, reflect.Slice:
+		return holdsMap(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsMap(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestInstrHasNoPointers pins that an instruction holds nothing the
 // collector must scan: code slices are then pointer-free memory, and
 // symbols, types and argument lists stay in the functions' side tables.

@@ -221,10 +221,6 @@ type Func struct {
 	Code      []Instr
 	Loops     []Loop
 
-	// Allocas lists the indices of OpAlloca instructions, for the stack
-	// object safety analysis.
-	Allocas []int
-
 	// Refs and ArgPool are the side tables Instr.Ref and Instr.ArgsAt
 	// index. ArgPool holds each argument list as its length followed by its
 	// registers. Tables are per function, not per program, so an
@@ -293,8 +289,7 @@ type GlobalSpec struct {
 // point. Programs are immutable after Build; instrumentation builds a new
 // program that shares whatever it does not change.
 type Program struct {
-	Funcs   map[string]*Func
-	Order   []string // function names in definition order
+	Funcs   []*Func // in definition order; names are unique
 	Globals []GlobalSpec
 	Entry   string
 
@@ -304,6 +299,26 @@ type Program struct {
 	fp atomic.Pointer[Fingerprint]
 	// link memoizes Link on the same terms: computed once per program.
 	link atomic.Pointer[Link]
+}
+
+// Func returns the function named name, nil when there is none.
+func (p *Program) Func(name string) *Func {
+	if i := p.funcIndex(name); i >= 0 {
+		return p.Funcs[i]
+	}
+	return nil
+}
+
+// funcIndex returns the position of the function named name in Funcs, -1
+// when there is none. Programs hold a handful of functions, so a scan beats
+// keeping an index.
+func (p *Program) funcIndex(name string) int {
+	for i, f := range p.Funcs {
+		if f.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // exactCopy returns a copy of s whose capacity equals its length, nil when

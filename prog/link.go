@@ -6,7 +6,7 @@ package prog
 // Pointer Table slot (§II.C.3 — the GPT is an indexed table). A global's
 // slot is its index in Program.Globals.
 type Link struct {
-	// Funcs lists the program's functions in definition order (Order); a
+	// Funcs lists the program's functions as Program.Funcs does; a
 	// function index is a position in this slice.
 	Funcs []LinkedFunc
 	// Entry is the entry function's index, -1 when it is undefined.
@@ -39,35 +39,24 @@ func (p *Program) Link() *Link {
 }
 
 func (p *Program) resolve() *Link {
-	l := &Link{Funcs: make([]LinkedFunc, len(p.Order)), Entry: -1}
-	funcIdx := make(map[string]int32, len(p.Order))
+	l := &Link{Funcs: make([]LinkedFunc, len(p.Funcs)), Entry: int32(p.funcIndex(p.Entry))}
 	n := 0
-	for i, name := range p.Order {
-		f := p.Funcs[name]
-		funcIdx[name] = int32(i)
+	for i, f := range p.Funcs {
 		l.Funcs[i].Func = f
 		if refersToSymbols(f) {
 			n += len(f.Code)
 		}
 	}
-	if i, ok := funcIdx[p.Entry]; ok {
-		l.Entry = i
-	}
 	if n == 0 {
 		return l
-	}
-	globalIdx := make(map[string]int32, len(p.Globals))
-	for i := range p.Globals {
-		globalIdx[p.Globals[i].Name] = int32(i)
 	}
 	// One backing array for the whole program keeps the tables at 4 bytes
 	// per instruction of the functions that need one.
 	all := make([]int32, n)
-	for i := range l.Funcs {
-		if !refersToSymbols(l.Funcs[i].Func) {
+	for i, f := range p.Funcs {
+		if !refersToSymbols(f) {
 			continue
 		}
-		f := l.Funcs[i].Func
 		code := f.Code
 		t := all[:len(code):len(code)]
 		all = all[len(code):]
@@ -75,18 +64,25 @@ func (p *Program) resolve() *Link {
 			t[pc] = -1
 			switch code[pc].Op {
 			case OpCall, OpParFor:
-				if fi, ok := funcIdx[f.Sym(&code[pc])]; ok {
-					t[pc] = fi
-				}
+				t[pc] = int32(p.funcIndex(f.Sym(&code[pc])))
 			case OpGlobalAddr:
-				if slot, ok := globalIdx[f.Sym(&code[pc])]; ok {
-					t[pc] = slot
-				}
+				t[pc] = int32(p.globalIndex(f.Sym(&code[pc])))
 			}
 		}
 		l.Funcs[i].Targets = t
 	}
 	return l
+}
+
+// globalIndex returns the GPT slot of the global named name, -1 when there
+// is none.
+func (p *Program) globalIndex(name string) int {
+	for i := range p.Globals {
+		if p.Globals[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // refersToSymbols reports whether f has an instruction Link resolves.

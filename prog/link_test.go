@@ -28,7 +28,7 @@ func TestLinkResolves(t *testing.T) {
 	if l != p.Link() {
 		t.Fatal("Link not memoized")
 	}
-	if l.Entry != 2 || l.Funcs[l.Entry].Func != p.Funcs["main"] {
+	if l.Entry != 2 || l.Funcs[l.Entry].Func != p.Func("main") {
 		t.Fatalf("Entry = %d, want 2 (main)", l.Entry)
 	}
 	if l.Funcs[0].Targets != nil {

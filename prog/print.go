@@ -188,8 +188,8 @@ func (p *Program) Dump() string {
 		}
 		b.WriteString("\n")
 	}
-	for _, name := range p.Order {
-		b.WriteString(p.Funcs[name].Dump())
+	for _, f := range p.Funcs {
+		b.WriteString(f.Dump())
 	}
 	return b.String()
 }

@@ -17,8 +17,8 @@ func Validate(p *Program) error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	entry, ok := p.Funcs[p.Entry]
-	if !ok {
+	entry := p.Func(p.Entry)
+	if entry == nil {
 		addf("prog: entry function %q not defined", p.Entry)
 	} else if entry.NumParams != 0 {
 		addf("prog: entry function %q must take no parameters, has %d", p.Entry, entry.NumParams)
@@ -37,8 +37,7 @@ func Validate(p *Program) error {
 		}
 	}
 
-	for _, name := range p.Order {
-		f := p.Funcs[name]
+	for _, f := range p.Funcs {
 		validateFunc(p, f, globals, addf)
 	}
 	return errors.Join(errs...)
@@ -146,8 +145,8 @@ func validateFunc(p *Program, f *Func, globals map[string]bool, addf func(string
 			}
 		case OpCall:
 			checkReg(pc, "dst", in.Dst, false)
-			callee, ok := p.Funcs[sym]
-			if !ok {
+			callee := p.Func(sym)
+			if callee == nil {
 				addf("prog: %s@%d: undefined function %q", f.Name, pc, sym)
 			} else if len(args) != callee.NumParams {
 				addf("prog: %s@%d: call %q with %d args, want %d", f.Name, pc, sym, len(args), callee.NumParams)
@@ -166,8 +165,8 @@ func validateFunc(p *Program, f *Func, globals map[string]bool, addf func(string
 		case OpParFor:
 			checkReg(pc, "lo", in.A, false)
 			checkReg(pc, "hi", in.B, false)
-			callee, ok := p.Funcs[sym]
-			if !ok {
+			callee := p.Func(sym)
+			if callee == nil {
 				addf("prog: %s@%d: undefined parfor body %q", f.Name, pc, sym)
 			} else if callee.NumParams != 1 {
 				addf("prog: %s@%d: parfor body %q must take 1 param, has %d", f.Name, pc, sym, callee.NumParams)
